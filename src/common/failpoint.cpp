@@ -1,6 +1,7 @@
 #include "common/failpoint.hpp"
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -14,7 +15,7 @@ namespace failpoint {
 namespace {
 
 enum class Selector { kAlways, kNth, kEvery, kProb };
-enum class Effect { kThrow, kDelay };
+enum class Effect { kThrow, kDelay, kRaise };
 
 struct Action {
   Selector selector = Selector::kAlways;
@@ -24,6 +25,7 @@ struct Action {
   Effect effect = Effect::kThrow;
   std::string message;      // throw(message)
   std::chrono::milliseconds delay{0};
+  int signal = 0;           // raise(SIG)
   std::size_t hit_count = 0;
 };
 
@@ -153,6 +155,17 @@ Action parse_action(const std::string& text) {
       bad_action("malformed delay in", text);
     }
     action.delay = std::chrono::milliseconds(std::stoull(eff.args[0]));
+  } else if (eff.name == "raise") {
+    action.effect = Effect::kRaise;
+    if (eff.args.size() != 1) {
+      bad_action("raise takes (KILL|TERM|INT) in", text);
+    }
+    const std::string& name = eff.args[0];
+    action.signal = name == "KILL"   ? SIGKILL
+                    : name == "TERM" ? SIGTERM
+                    : name == "INT"  ? SIGINT
+                                     : 0;
+    if (action.signal == 0) bad_action("unknown signal in", text);
   } else {
     bad_action("unknown effect", effect_token);
   }
@@ -204,6 +217,12 @@ void hit_armed(const char* site) {
   if (!matched) return;
   if (fire.effect == Effect::kDelay) {
     std::this_thread::sleep_for(fire.delay);
+    return;
+  }
+  if (fire.effect == Effect::kRaise) {
+    // Delivered to this thread before raise() returns: SIGKILL ends the
+    // process here, a handled SIGTERM/SIGINT has run its handler.
+    std::raise(fire.signal);
     return;
   }
   throw InjectedFault("failpoint " + std::string(site) + ": " +

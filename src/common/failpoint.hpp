@@ -20,6 +20,10 @@
 //                                   subclass the retry classifier treats
 //                                   as transient)
 //              | delay(MS)          sleep MS milliseconds, then continue
+//              | raise(SIG)         raise SIGKILL, SIGTERM or SIGINT (SIG
+//                                   in KILL, TERM, INT) on the process,
+//                                   then continue if it survives: a crash
+//                                   or signal that lands on a chosen hit
 //   selector  := nth(K)             fire only on the K-th hit (1-based)
 //              | every(K)           fire on every K-th hit
 //              | prob(P,SEED)       fire with probability P in [0,1],
@@ -30,9 +34,11 @@
 //   STORESCHED_FAILPOINTS="stream.solve=every(5):throw"
 //   STORESCHED_FAILPOINTS="source.next=nth(3):throw;sink.consume=delay(20)"
 //   STORESCHED_FAILPOINTS="stream.solve=prob(0.1,42):throw(transient blip)"
+//   STORESCHED_FAILPOINTS="stream.solve=nth(20):raise(KILL)"
 //
 // Registered sites (grep for failpoint::hit to enumerate):
-//   source.next    JsonlInstanceSource::next, before any input is consumed
+//   source.next    JsonlInstanceSource::claim, once per record (and once at
+//                  the end of the input), before its input is consumed
 //   stream.solve   the solve_stream worker, before each solve attempt
 //   sink.consume   result delivery, before ResultSink::consume
 //   crew.spawn     run_worker_crew / WorkerCrew, before each worker thread
@@ -78,7 +84,8 @@ void hit_armed(const char* site);
 }  // namespace detail
 
 /// Evaluates the failpoint `site`. No-op (one relaxed load) unless some
-/// failpoint is armed. May throw InjectedFault or sleep, per the action.
+/// failpoint is armed. May throw InjectedFault, sleep or raise a signal,
+/// per the action.
 inline void hit(const char* site) {
   if (!detail::armed.load(std::memory_order_relaxed)) return;
   detail::hit_armed(site);

@@ -1,5 +1,6 @@
 #include "common/io.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -154,6 +155,11 @@ Instance from_text(const std::string& text) {
 std::string json_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
+  append_json_escaped(out, text);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -171,7 +177,6 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
-  return out;
 }
 
 std::string instance_to_jsonl(const Instance& inst) {
@@ -209,7 +214,7 @@ std::string line_prefix(std::size_t line_number) {
 /// Minimal cursor over the fixed instance-line schema. Not a general JSON
 /// parser: objects of known keys, arrays of integer pairs, nothing else.
 struct JsonCursor {
-  const std::string& text;
+  std::string_view text;
   std::size_t line_number;  ///< 1-based position in the stream; 0 = unknown
   std::size_t pos = 0;
 
@@ -247,15 +252,16 @@ struct JsonCursor {
     if (pos == begin || (pos == begin + 1 && text[begin] == '-')) {
       fail("expected integer");
     }
-    try {
-      return std::stoll(text.substr(begin, pos - begin));
-    } catch (const std::exception&) {
+    std::int64_t value = 0;
+    if (std::from_chars(text.data() + begin, text.data() + pos, value).ec !=
+        std::errc{}) {
       pos = begin;
       fail("integer out of range");
     }
+    return value;
   }
 
-  std::string parse_key() {
+  std::string_view parse_key() {
     expect('"');
     const std::size_t begin = pos;
     while (pos < text.size() && text[pos] != '"') {
@@ -266,21 +272,20 @@ struct JsonCursor {
     return text.substr(begin, pos++ - begin);
   }
 
-  /// [[a,b],[c,d],...] -> flat pair list. May be empty.
-  std::vector<std::pair<std::int64_t, std::int64_t>> parse_pairs() {
-    std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+  /// [[a,b],[c,d],...] -> emit(a, b) per pair, in order. May be empty.
+  template <typename Emit>
+  void parse_pairs(Emit&& emit) {
     expect('[');
-    if (consume(']')) return pairs;
+    if (consume(']')) return;
     do {
       expect('[');
       const std::int64_t a = parse_int();
       expect(',');
       const std::int64_t b = parse_int();
       expect(']');
-      pairs.emplace_back(a, b);
+      emit(a, b);
     } while (consume(','));
     expect(']');
-    return pairs;
   }
 };
 
@@ -293,7 +298,7 @@ bool has_binary_wire_magic(std::string_view bytes) {
                                         sizeof(kBinaryWireMagic))) == 0;
 }
 
-Instance instance_from_jsonl(const std::string& line,
+Instance instance_from_jsonl(std::string_view line,
                              std::size_t line_number) {
   if (has_binary_wire_magic(line)) {
     throw std::runtime_error(
@@ -303,13 +308,14 @@ Instance instance_from_jsonl(const std::string& line,
   }
   JsonCursor cur{line, line_number};
   std::optional<int> m;
-  std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> task_pairs;
+  bool saw_tasks = false;
+  std::vector<Task> tasks;
   std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> edge_pairs;
 
   cur.expect('{');
   if (!cur.consume('}')) {
     do {
-      const std::string key = cur.parse_key();
+      const std::string_view key = cur.parse_key();
       cur.expect(':');
       if (key == "m") {
         const std::int64_t v = cur.parse_int();
@@ -318,11 +324,18 @@ Instance instance_from_jsonl(const std::string& line,
         }
         m = static_cast<int>(v);
       } else if (key == "tasks") {
-        task_pairs = cur.parse_pairs();
+        // A repeated key replaces the earlier value, as for "m".
+        tasks.clear();
+        saw_tasks = true;
+        cur.parse_pairs(
+            [&](std::int64_t p, std::int64_t s) { tasks.push_back({p, s}); });
       } else if (key == "edges") {
-        edge_pairs = cur.parse_pairs();
+        edge_pairs.emplace();
+        cur.parse_pairs([&](std::int64_t u, std::int64_t v) {
+          edge_pairs->emplace_back(u, v);
+        });
       } else {
-        cur.fail("unknown key \"" + key + "\"");
+        cur.fail("unknown key \"" + std::string(key) + "\"");
       }
     } while (cur.consume(','));
     cur.expect('}');
@@ -330,11 +343,8 @@ Instance instance_from_jsonl(const std::string& line,
   cur.skip_ws();
   if (cur.pos != line.size()) cur.fail("trailing garbage");
   if (!m) cur.fail("missing \"m\"");
-  if (!task_pairs) cur.fail("missing \"tasks\"");
+  if (!saw_tasks) cur.fail("missing \"tasks\"");
 
-  std::vector<Task> tasks;
-  tasks.reserve(task_pairs->size());
-  for (const auto& [p, s] : *task_pairs) tasks.push_back({p, s});
   const auto n = static_cast<std::int64_t>(tasks.size());
   try {
     if (!edge_pairs) return Instance(std::move(tasks), *m);

@@ -52,6 +52,9 @@ Instance from_text(const std::string& text);
 /// surrounding quotes are not included).
 std::string json_escape(const std::string& text);
 
+/// json_escape(), appended to `out`.
+void append_json_escaped(std::string& out, std::string_view text);
+
 /// First bytes of the binary columnar wire format (docs/WIRE_FORMAT.md,
 /// storage/wire_format.hpp). Defined here -- below the storage layer -- so
 /// the JSONL parsers can *name* the other wire when handed its bytes:
@@ -78,7 +81,7 @@ std::string instance_to_jsonl(const Instance& inst);
 /// its stream so the error also names it -- a bad line deep in a
 /// million-line JSONL stream is unlocatable from the byte offset alone
 /// (0 = unknown, omit the prefix).
-Instance instance_from_jsonl(const std::string& line,
+Instance instance_from_jsonl(std::string_view line,
                              std::size_t line_number = 0);
 
 /// Formats a double with the given number of decimals (fixed notation).

@@ -1,16 +1,18 @@
 #include "core/stream.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -26,6 +28,14 @@ namespace storesched {
 // Sources.
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const Instance> RecordSource::next() {
+  one_.clear();
+  claim(1, one_);
+  if (one_.records.empty()) return nullptr;
+  return std::make_shared<const Instance>(
+      parse(one_.view(0), one_.records[0].line));
+}
+
 std::shared_ptr<const Instance> SpanSource::next() {
   if (cursor_ >= instances_.size()) return nullptr;
   // Non-owning alias into the caller's span (which outlives the run by
@@ -40,25 +50,127 @@ std::shared_ptr<const Instance> GeneratorSource::next() {
   return std::make_shared<const Instance>(std::move(*inst));
 }
 
-std::shared_ptr<const Instance> JsonlInstanceSource::next() {
-  // Before any input is consumed: an injected fault here leaves the stream
-  // positioned exactly where it was, so skip/retry policies keep reading.
-  failpoint::hit("source.next");
-  std::string line;
-  while (std::getline(in_, line)) {
-    ++line_number_;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // The parser stamps the line number into its own error message, so a
-    // bad line deep in a million-line stream is locatable as-is.
-    return std::make_shared<const Instance>(
-        instance_from_jsonl(line, line_number_));
+namespace {
+
+/// Initial read buffer; it doubles whenever one line outgrows it.
+constexpr std::size_t kReadBuffer = std::size_t{64} << 10;
+
+/// A line the source skips: nothing but spaces, tabs and carriage returns.
+bool blank(std::string_view line) {
+  return line.find_first_not_of(" \t\r") == std::string_view::npos;
+}
+
+}  // namespace
+
+void JsonlInstanceSource::refill() {
+  if (eof_) return;
+  if (head_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
   }
-  return nullptr;
+  if (buffer_.size() < kReadBuffer) {
+    buffer_.resize(kReadBuffer);
+  } else if (tail_ == buffer_.size()) {
+    buffer_.resize(buffer_.size() * 2);
+  }
+  // sgetc() makes at most one underlying read, and only when the stream's
+  // own buffer is empty; in_avail() then names what that read buffered, so
+  // sgetn() copies it out without reading again.
+  using Traits = std::char_traits<char>;
+  std::streambuf* const in = in_.rdbuf();
+  try {
+    if (in == nullptr || Traits::eq_int_type(in->sgetc(), Traits::eof())) {
+      eof_ = true;
+      return;
+    }
+    const std::streamsize room =
+        static_cast<std::streamsize>(buffer_.size() - tail_);
+    const std::streamsize got = in->sgetn(
+        buffer_.data() + tail_,
+        std::min(room, std::max<std::streamsize>(in->in_avail(), 1)));
+    if (got <= 0) {
+      eof_ = true;
+      return;
+    }
+    tail_ += static_cast<std::size_t>(got);
+  } catch (...) {
+    // A failed read is not the end of the input -- it surfaces as a source
+    // error -- but nothing after it can be trusted either.
+    eof_ = true;
+    throw;
+  }
+}
+
+JsonlInstanceSource::Located JsonlInstanceSource::locate(bool wait) {
+  Located at;
+  std::size_t scan = head_;
+  for (;;) {
+    const char* base = buffer_.data();
+    const void* newline =
+        scan < tail_ ? std::memchr(base + scan, '\n', tail_ - scan) : nullptr;
+    std::size_t end = tail_;
+    std::size_t next = tail_;
+    if (newline != nullptr) {
+      end = static_cast<std::size_t>(static_cast<const char*>(newline) - base);
+      next = end + 1;
+    } else if (!eof_) {
+      if (!wait) return at;  // kPending: no complete line is buffered
+      const std::size_t scanned = scan - head_;
+      refill();
+      scan = head_ + scanned;
+      continue;
+    } else if (scan == tail_) {
+      at.status = Located::kEnd;
+      at.next = tail_;
+      return at;
+    }
+    // A complete line: "\n"-terminated, or the unterminated last one.
+    ++at.lines;
+    if (blank({base + scan, end - scan})) {
+      scan = next;
+      continue;
+    }
+    at.status = Located::kRecord;
+    at.begin = scan;
+    at.end = end;
+    at.next = next;
+    return at;
+  }
+}
+
+void JsonlInstanceSource::claim(std::size_t max, RecordBatch& batch) {
+  for (std::size_t taken = 0; taken < max; ++taken) {
+    const Located at = locate(/*wait=*/taken == 0);
+    if (at.status == Located::kPending) return;
+    // The end is reported (and its failpoint hit made) by a claim of its own.
+    if (at.status == Located::kEnd && taken > 0) return;
+    // Before the record's input is consumed: an injected fault leaves the
+    // stream positioned exactly where it was, so skip/retry keep reading.
+    failpoint::hit("source.next");
+    head_ = at.next;
+    line_number_ += at.lines;
+    if (at.status == Located::kEnd) return;
+    batch.add({buffer_.data() + at.begin, at.end - at.begin}, line_number_);
+  }
+}
+
+Instance JsonlInstanceSource::parse(std::string_view record,
+                                    std::size_t line) const {
+  // The parser stamps the line number into its own error message, so a bad
+  // line deep in a million-line stream is locatable as-is.
+  return instance_from_jsonl(record, line);
 }
 
 // ---------------------------------------------------------------------------
 // Sinks.
 // ---------------------------------------------------------------------------
+
+void EncodingSink::consume(std::size_t index, SolveResult result) {
+  bytes_.clear();
+  encode(index, result, bytes_);
+  write(bytes_);
+}
 
 void VectorSink::consume(std::size_t index, SolveResult result) {
   if (index >= results_.size()) {
@@ -69,25 +181,64 @@ void VectorSink::consume(std::size_t index, SolveResult result) {
   results_[index] = std::move(result);
 }
 
-std::string result_to_jsonl(std::size_t index, const SolveResult& result,
-                            const JsonlResultOptions& options) {
-  return "{\"index\":" + std::to_string(index) +
-         result_jsonl_fields(result, options) + "}";
+namespace {
+
+void append_int(std::string& out, std::int64_t value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  out.append(digits, end);
 }
 
-std::string result_jsonl_fields(const SolveResult& result,
-                                const JsonlResultOptions& options) {
-  std::ostringstream os;
-  os << ",\"feasible\":" << (result.feasible ? "true" : "false");
-  if (result.feasible) {
-    os << ",\"cmax\":" << result.objectives.cmax
-       << ",\"mmax\":" << result.objectives.mmax;
-    if (result.sum_ci) os << ",\"sum_ci\":" << *result.sum_ci;
+/// Fraction::to_string() without the temporaries.
+void append_fraction(std::string& out, const Fraction& value) {
+  append_int(out, value.num());
+  if (value.den() != 1) {
+    out += '/';
+    append_int(out, value.den());
   }
-  os << ",\"delta\":\"" << result.delta.to_string() << '"';
+}
+
+void append_result_line(std::size_t index, const SolveResult& result,
+                        const JsonlResultOptions& options, std::string& out) {
+  out += "{\"index\":";
+  append_int(out, static_cast<std::int64_t>(index));
+  result_jsonl_fields(result, options, out);
+  out += '}';
+}
+
+}  // namespace
+
+std::string result_to_jsonl(std::size_t index, const SolveResult& result,
+                            const JsonlResultOptions& options) {
+  std::string line;
+  append_result_line(index, result, options, line);
+  return line;
+}
+
+void result_jsonl_fields(const SolveResult& result,
+                         const JsonlResultOptions& options, std::string& out) {
+  out += result.feasible ? ",\"feasible\":true" : ",\"feasible\":false";
+  if (result.feasible) {
+    out += ",\"cmax\":";
+    append_int(out, result.objectives.cmax);
+    out += ",\"mmax\":";
+    append_int(out, result.objectives.mmax);
+    if (result.sum_ci) {
+      out += ",\"sum_ci\":";
+      append_int(out, *result.sum_ci);
+    }
+  }
+  out += ",\"delta\":\"";
+  append_fraction(out, result.delta);
+  out += '"';
   const auto fraction_field = [&](const char* key,
                                   const std::optional<Fraction>& value) {
-    if (value) os << ",\"" << key << "\":\"" << value->to_string() << '"';
+    if (!value) return;
+    out += ",\"";
+    out += key;
+    out += "\":\"";
+    append_fraction(out, *value);
+    out += '"';
   };
   fraction_field("cmax_bound", result.cmax_bound);
   fraction_field("mmax_bound", result.mmax_bound);
@@ -95,27 +246,37 @@ std::string result_jsonl_fields(const SolveResult& result,
   fraction_field("mmax_ratio", result.mmax_ratio);
   fraction_field("sumci_ratio", result.sumci_ratio);
   if (!result.diagnostics.empty()) {
-    os << ",\"diagnostics\":\"" << json_escape(result.diagnostics) << '"';
+    out += ",\"diagnostics\":\"";
+    append_json_escaped(out, result.diagnostics);
+    out += '"';
   }
   if (options.include_schedule && result.feasible) {
-    os << ",\"proc\":[";
-    for (std::size_t i = 0; i < result.schedule.n(); ++i) {
-      os << (i ? "," : "") << result.schedule.proc(static_cast<TaskId>(i));
+    const std::size_t n = result.schedule.n();
+    out += ",\"proc\":[";
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) out += ',';
+      append_int(out, result.schedule.proc(static_cast<TaskId>(i)));
     }
-    os << ']';
+    out += ']';
     if (result.schedule.timed()) {
-      os << ",\"start\":[";
-      for (std::size_t i = 0; i < result.schedule.n(); ++i) {
-        os << (i ? "," : "") << result.schedule.start(static_cast<TaskId>(i));
+      out += ",\"start\":[";
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i > 0) out += ',';
+        append_int(out, result.schedule.start(static_cast<TaskId>(i)));
       }
-      os << ']';
+      out += ']';
     }
   }
-  return os.str();
 }
 
-void JsonlResultSink::consume(std::size_t index, SolveResult result) {
-  out_ << result_to_jsonl(index, result, options_) << '\n';
+void JsonlResultSink::encode(std::size_t index, const SolveResult& result,
+                             std::string& out) const {
+  append_result_line(index, result, options_, out);
+  out += '\n';
+}
+
+void JsonlResultSink::write(std::string_view bytes) {
+  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out_) {
     throw StreamWriteError(
         "JsonlResultSink: write failed (ostream badbit/failbit set)");
@@ -428,26 +589,49 @@ std::size_t estimate_footprint(const Instance& inst, const SolveResult& r) {
   return bytes;
 }
 
-/// How one pulled index ended: a result to deliver or a failure to record.
-/// `source_pos` is the source's position when the index was pulled --
-/// pulls are serialized under the lock, so positions are monotone in the
-/// index and the ordered-mode progress/journal contract holds.
+/// One claimed index on its way to the sink: an encoded or whole result to
+/// deliver, or a failure to record. `source_pos` is the source's position
+/// once the record was claimed -- claims are serialized and cut records in
+/// order, so positions are monotone in the index and the ordered-mode
+/// progress/journal contract holds.
 struct Outcome {
-  std::variant<SolveResult, StreamError> payload;
+  std::size_t index = 0;
+  /// Encoded bytes (encoding sinks), the result itself, or the failure.
+  std::variant<std::string, std::unique_ptr<SolveResult>, StreamError> payload;
   std::size_t source_pos = 0;
-  bool retried = false;  ///< the solve needed >= 1 re-attempt
+  std::size_t footprint = 0;  ///< estimate_footprint() of a solved record
+  bool feasible = false;
+  bool retried = false;    ///< the solve or its delivery needed a re-attempt
+  bool delivered = false;  ///< set by the writer once the sink holds it
 };
 
-/// Shared pipeline state; mutable fields are guarded by `mu`, the policy
-/// block at the bottom is read-only once the crew starts.
+/// A ring position of the ordered-mode reorder buffer.
+struct Slot {
+  bool ready = false;
+  Outcome out;
+};
+
+/// Claim sizing: a claim carries about kClaimBudgetNs of measured work, so
+/// cheap records share one trip through the pull lock while a record that
+/// costs that much on its own is claimed alone and slow solves still spread
+/// across the workers.
+constexpr double kClaimBudgetNs = 50e3;
+constexpr std::size_t kMaxClaim = 64;
+
+/// Shared pipeline state. `pull_mu` serializes claims (the source and
+/// `next_index`); `mu` guards everything else except the writer-owned
+/// block, which only the worker holding the writer role touches. Lock
+/// order: pull_mu before mu. The policy block at the bottom is read-only
+/// once the crew starts.
 struct PipelineState {
+  std::mutex pull_mu;
+  std::size_t next_index = 0;  ///< index the next claimed record gets
+
   std::mutex mu;
   /// One condition for both "a window slot freed up" and "state changed"
   /// (failure, cancellation, source exhausted).
   std::condition_variable cv;
-
-  std::size_t next_index = 0;    ///< index the next pull will get
-  std::size_t in_flight = 0;     ///< pulled but not yet retired
+  std::size_t in_flight = 0;  ///< claimed but not yet retired
   bool source_done = false;
   bool failed = false;
   std::exception_ptr error;
@@ -462,25 +646,38 @@ struct PipelineState {
   std::size_t memory_budget = 0;      ///< bytes (adaptive mode only)
   double footprint_ewma = 0.0;        ///< smoothed estimate_footprint()
   bool footprint_seen = false;
+  double record_ns = 0.0;             ///< smoothed work time per record
 
-  std::size_t next_deliver = 0;            ///< ordered mode: retirement head
-  std::map<std::size_t, Outcome> pending;  ///< ordered mode: reorder buffer
+  /// Finished records not yet written: a ring indexed by index modulo its
+  /// (power-of-two) size in ordered mode, a list in as-completed mode.
+  std::vector<Slot> ring;
+  std::vector<Outcome> finished;
+  std::size_t next_deliver = 0;  ///< ordered mode: the writer's head
+  bool writing = false;          ///< a worker holds the writer role
 
-  // Failure policy, resolved once in solve_stream before the crew starts.
+  // Writer-owned.
+  std::vector<Outcome> run;  ///< the records being written
+  std::string bytes;         ///< their encoded bytes (encoding sinks)
+
+  // Failure policy and shape, resolved once before the crew starts.
   FailureAction action = FailureAction::kAbort;
   RetryPolicy retry;
   std::function<bool(const std::exception_ptr&)> retryable;
   ErrorSink* errors = nullptr;
   const std::function<void(const StreamProgress&)>* progress = nullptr;
   bool ordered = true;
+  RecordSource* records = nullptr;  ///< the source, when it splits
+  EncodingSink* encoder = nullptr;  ///< the sink, when it splits
 
   StreamStats stats;
 };
 
-/// Records the first failure and wakes everyone. Lock must be held.
+/// Records a failure and wakes everyone. The lowest failing index wins, so
+/// the record an abort names does not depend on which worker saw its fault
+/// first. Lock must be held.
 void record_failure(PipelineState& state, std::size_t index,
                     std::exception_ptr error) {
-  if (!state.failed) {
+  if (!state.failed || index < state.error_index) {
     state.failed = true;
     state.error = std::move(error);
     state.error_index = index;
@@ -505,113 +702,362 @@ void observe_footprint(PipelineState& state, std::size_t bytes) {
                  kWindowCeiling);
 }
 
-/// Retires `index` as failed: accounts it and forwards the record to the
-/// error channel. A throwing ErrorSink aborts the run regardless of policy
-/// -- once the error channel is lost the run's accounting cannot be
-/// trusted. Lock must be held. Returns false when the pipeline must stop.
-bool emit_error(PipelineState& state, StreamError error) {
-  --state.in_flight;
-  ++state.stats.failed;
-  if (state.errors != nullptr) {
-    const std::size_t index = error.index;
-    try {
-      state.errors->consume(std::move(error));
-    } catch (...) {
-      record_failure(state, index, std::current_exception());
-      return false;
-    }
-  }
-  return true;
+/// Records per claim for record sources (see kClaimBudgetNs). Lock must
+/// be held.
+std::size_t claim_size(const PipelineState& state) {
+  if (state.record_ns <= 0.0) return 1;
+  return static_cast<std::size_t>(std::clamp(
+      kClaimBudgetNs / state.record_ns, 1.0, static_cast<double>(kMaxClaim)));
 }
 
-/// Hands one solved result to the sink, applying the failure policy to a
-/// throwing consume(): abort records the failure, skip degrades the index
-/// to an error record, retry re-attempts with an identical copy of the
-/// result. Lock must be held; a retry backoff sleeps with the lock held --
-/// sink calls are the serialization point, so a failing sink stalling the
-/// pipeline IS backpressure. Returns false when the pipeline must stop.
-bool emit_result(PipelineState& state, ResultSink& sink, std::size_t index,
-                 Outcome out) {
-  SolveResult& result = std::get<SolveResult>(out.payload);
-  int attempt = 0;
-  for (;;) {
-    ++attempt;
-    const bool may_retry = state.action == FailureAction::kRetry &&
-                           attempt < state.retry.max_attempts;
+/// Counts `count` newly claimed records in flight and makes room for them
+/// in the ring: claimed indices span at most `in_flight` positions. Lock
+/// must be held.
+void admit(PipelineState& state, std::size_t count) {
+  state.in_flight += count;
+  state.stats.max_in_flight =
+      std::max(state.stats.max_in_flight, state.in_flight);
+  if (!state.ordered) return;
+  std::size_t size = std::max<std::size_t>(state.ring.size(), 16);
+  while (size < state.in_flight) size *= 2;
+  if (size == state.ring.size()) return;
+  std::vector<Slot> ring(size);
+  for (Slot& slot : state.ring) {
+    if (slot.ready) ring[slot.out.index & (size - 1)] = std::move(slot);
+  }
+  state.ring.swap(ring);
+}
+
+/// What retiring one run did, folded into StreamStats by the writer.
+struct Retired {
+  std::size_t delivered = 0;
+  std::size_t feasible = 0;
+  std::size_t failed = 0;
+  std::size_t recovered = 0;
+  std::size_t retries = 0;
+  bool stop = false;  ///< the pipeline must stop (see `error`)
+  std::size_t error_index = 0;
+  std::exception_ptr error;
+};
+
+/// Runs one delivery step, `deliver(attempt)`, under the retry policy:
+/// retryable faults are re-attempted with backoff, sleeping with the
+/// writer role held -- delivery is the serialization point, so a failing
+/// sink stalling the pipeline IS backpressure. Returns the last fault
+/// (null on success); `attempts` counts every try.
+template <typename Deliver>
+std::exception_ptr deliver_with_retries(const PipelineState& state,
+                                        std::size_t index, int& attempts,
+                                        std::size_t& retries,
+                                        Deliver&& deliver) {
+  for (attempts = 1;; ++attempts) {
     std::exception_ptr error;
     try {
-      failpoint::hit("sink.consume");
-      const bool feasible = result.feasible;
-      if (may_retry) {
-        SolveResult copy = result;  // keep the original for a re-attempt
-        sink.consume(index, std::move(copy));
-      } else {
-        sink.consume(index, std::move(result));
-      }
-      --state.in_flight;
-      ++state.stats.delivered;
-      if (feasible) ++state.stats.feasible;
-      if (out.retried || attempt > 1) ++state.stats.recovered;
-      return true;
+      deliver(attempts);
+      return nullptr;
     } catch (...) {
       error = std::current_exception();
     }
-    if (state.action == FailureAction::kAbort) {
-      record_failure(state, index, error);
-      return false;
+    if (state.action != FailureAction::kRetry ||
+        attempts >= state.retry.max_attempts || !state.retryable(error)) {
+      return error;
     }
-    if (may_retry && state.retryable(error)) {
-      ++state.stats.retries;
-      std::this_thread::sleep_for(backoff_delay(state.retry, index, attempt));
-      continue;
-    }
-    return emit_error(state, StreamError{index, out.source_pos,
-                                         StreamErrorCategory::kSink, attempt,
-                                         describe_error(error)});
+    ++retries;
+    std::this_thread::sleep_for(backoff_delay(state.retry, index, attempts));
   }
 }
 
-/// Retires one outcome: results go to the sink, failures to the error
-/// channel. Lock must be held. Returns false when the pipeline must stop.
-bool retire(PipelineState& state, ResultSink& sink, std::size_t index,
-            Outcome out) {
-  if (std::holds_alternative<StreamError>(out.payload)) {
-    return emit_error(state, std::move(std::get<StreamError>(out.payload)));
-  }
-  return emit_result(state, sink, index, std::move(out));
-}
+/// Hands one run of finished records to the sink and the error channel in
+/// order, then reports each retired record to the progress callback (after
+/// the write that carried its bytes). A failing delivery stops the run
+/// under abort and becomes a sink error record under skip and retry.
+/// Touches only writer-owned state; an encoding sink is written with the
+/// pipeline lock released.
+Retired retire_run(PipelineState& state, ResultSink& sink,
+                   std::size_t delivered_before, std::size_t failed_before) {
+  std::vector<Outcome>& run = state.run;
+  std::string& bytes = state.bytes;
+  bytes.clear();
+  Retired r;
+  std::size_t buffered = 0;  // run[buffered, i) sit in `bytes`, unwritten
+  std::size_t settled = 0;   // run[0, settled) are retired and reported
 
-/// Routes one completed outcome toward retirement (immediately in
-/// as-completed mode; via the reorder buffer in ordered mode, firing the
-/// progress callback as the contiguous head advances). Lock must be held.
-/// Returns false when the pipeline must stop.
-bool deliver(PipelineState& state, ResultSink& sink, std::size_t index,
-             Outcome out) {
-  if (!state.ordered) return retire(state, sink, index, std::move(out));
-
-  state.pending.emplace(index, std::move(out));
-  while (!state.pending.empty() &&
-         state.pending.begin()->first == state.next_deliver) {
-    auto node = state.pending.extract(state.pending.begin());
-    const std::size_t source_pos = node.mapped().source_pos;
-    if (!retire(state, sink, node.key(), std::move(node.mapped()))) {
-      return false;
+  const auto stop = [&](std::size_t index, std::exception_ptr error) {
+    r.stop = true;
+    r.error_index = index;
+    r.error = std::move(error);
+    return false;
+  };
+  const auto fail = [&](const Outcome& out, StreamError error) {
+    if (state.errors == nullptr) return true;
+    try {
+      state.errors->consume(std::move(error));
+    } catch (...) {
+      // Once the error channel is lost the run's accounting cannot be
+      // trusted: abort regardless of policy.
+      return stop(out.index, std::current_exception());
     }
-    ++state.next_deliver;
-    if (state.progress != nullptr && *state.progress) {
+    return true;
+  };
+  // Retires run[settled, upto): counts each record and reports progress.
+  const auto settle = [&](std::size_t upto) {
+    for (; settled < upto; ++settled) {
+      const Outcome& out = run[settled];
+      if (out.delivered) {
+        ++r.delivered;
+        if (out.feasible) ++r.feasible;
+        if (out.retried) ++r.recovered;
+      } else {
+        ++r.failed;
+      }
+      if (!state.ordered || !*state.progress) continue;
       StreamProgress snapshot;
-      snapshot.completed = state.next_deliver;
-      snapshot.source_lines = source_pos;
-      snapshot.delivered = state.stats.delivered;
-      snapshot.failed = state.stats.failed;
+      snapshot.completed = out.index + 1;
+      snapshot.source_lines = out.source_pos;
+      snapshot.delivered = delivered_before + r.delivered;
+      snapshot.failed = failed_before + r.failed;
       try {
         (*state.progress)(snapshot);
       } catch (...) {
-        record_failure(state, state.next_deliver - 1,
-                       std::current_exception());
+        ++settled;
+        return stop(out.index, std::current_exception());
+      }
+    }
+    return true;
+  };
+  // Writes the bytes of run[buffered, upto) with one write(); a failed
+  // write fails every record it carried.
+  const auto flush = [&](std::size_t upto) {
+    if (buffered == upto) return true;
+    const std::size_t first = run[buffered].index;
+    int attempts = 0;
+    const std::exception_ptr error = deliver_with_retries(
+        state, first, attempts, r.retries,
+        [&](int) { state.encoder->write(bytes); });
+    if (error && state.action == FailureAction::kAbort) {
+      return stop(first, error);
+    }
+    for (std::size_t k = buffered; k < upto; ++k) {
+      Outcome& out = run[k];
+      out.delivered = !error;
+      out.retried = out.retried || attempts > 1;
+      if (error && !fail(out, StreamError{out.index, out.source_pos,
+                                          StreamErrorCategory::kSink, attempts,
+                                          describe_error(error)})) {
         return false;
       }
     }
+    bytes.clear();
+    buffered = upto;
+    return settle(upto);
+  };
+
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    Outcome& out = run[i];
+    std::optional<StreamError> failure;
+    if (auto* error = std::get_if<StreamError>(&out.payload)) {
+      failure = std::move(*error);
+    } else {
+      // The sink.consume failpoint fires once per record, in delivery
+      // order, for encoding sinks too.
+      int attempts = 0;
+      const std::exception_ptr fault = deliver_with_retries(
+          state, out.index, attempts, r.retries, [&](int attempt) {
+            failpoint::hit("sink.consume");
+            if (state.encoder) return;
+            SolveResult& result =
+                *std::get<std::unique_ptr<SolveResult>>(out.payload);
+            if (state.action == FailureAction::kRetry &&
+                attempt < state.retry.max_attempts) {
+              SolveResult copy = result;  // keep the original for a re-try
+              sink.consume(out.index, std::move(copy));
+            } else {
+              sink.consume(out.index, std::move(result));
+            }
+          });
+      out.retried = out.retried || attempts > 1;
+      if (fault && state.action == FailureAction::kAbort) {
+        if (flush(i)) stop(out.index, fault);
+        break;
+      }
+      if (fault) {
+        failure = StreamError{out.index, out.source_pos,
+                              StreamErrorCategory::kSink, attempts,
+                              describe_error(fault)};
+      } else if (state.encoder) {
+        bytes += std::get<std::string>(out.payload);
+        continue;
+      } else {
+        out.delivered = true;
+      }
+    }
+    // Bytes of earlier records go out first: the journal counts results
+    // and error records, and neither file may run ahead of the other.
+    if (!flush(i) || (failure && !fail(out, std::move(*failure)))) break;
+    buffered = i + 1;
+    if (!settle(i + 1)) break;
+  }
+  if (!r.stop) flush(run.size());
+  return r;
+}
+
+/// Writes whatever finished records may go out now: the contiguous head of
+/// the ring (ordered) or everything finished (as-completed). One worker at
+/// a time holds the writer role and keeps writing until nothing is left;
+/// the others only file their records and return to work. A consuming sink
+/// is called under the lock, as a source's next() is; an encoding sink's
+/// write() runs with it released. Lock must be held. Returns false when the
+/// pipeline must stop.
+bool drain(PipelineState& state, ResultSink& sink,
+           std::unique_lock<std::mutex>& lock) {
+  if (state.writing) return !state.failed;
+  state.writing = true;
+  while (!state.failed) {
+    std::vector<Outcome>& run = state.run;
+    if (state.ordered) {
+      const std::size_t mask = state.ring.size() - 1;
+      for (;;) {
+        Slot& slot = state.ring[state.next_deliver & mask];
+        if (!slot.ready) break;
+        run.push_back(std::move(slot.out));
+        slot.ready = false;
+        ++state.next_deliver;
+      }
+    } else {
+      run.swap(state.finished);
+    }
+    if (run.empty()) break;
+    const std::size_t retired = run.size();
+    const std::size_t delivered = state.stats.delivered;
+    const std::size_t failed = state.stats.failed;
+    if (state.encoder) lock.unlock();
+    const Retired r = retire_run(state, sink, delivered, failed);
+    run.clear();
+    if (state.encoder) lock.lock();
+    state.in_flight -= retired;
+    state.stats.delivered += r.delivered;
+    state.stats.feasible += r.feasible;
+    state.stats.failed += r.failed;
+    state.stats.recovered += r.recovered;
+    state.stats.retries += r.retries;
+    if (r.stop) record_failure(state, r.error_index, r.error);
+    state.cv.notify_all();
+  }
+  state.writing = false;
+  return !state.failed;
+}
+
+/// Files a claim's finished records and drains. Lock must be held.
+/// Returns false when the pipeline must stop.
+bool deposit(PipelineState& state, ResultSink& sink,
+             std::unique_lock<std::mutex>& lock, std::vector<Outcome>& done) {
+  if (state.failed) return false;
+  for (Outcome& out : done) {
+    if (out.footprint > 0) observe_footprint(state, out.footprint);
+    if (state.ordered) {
+      Slot& slot = state.ring[out.index & (state.ring.size() - 1)];
+      slot.out = std::move(out);
+      slot.ready = true;
+    } else {
+      state.finished.push_back(std::move(out));
+    }
+  }
+  done.clear();
+  return drain(state, sink, lock);
+}
+
+/// The records one claim handed a worker: `count` indices from
+/// `first_index`, cut into the worker's batch (record sources) or one
+/// pulled instance, then -- when the source threw -- one more index for
+/// that fault, with no input behind it.
+struct Claim {
+  std::size_t first_index = 0;
+  std::size_t count = 0;
+  std::shared_ptr<const Instance> inst;
+  std::size_t source_pos = 0;
+  std::exception_ptr error;
+};
+
+/// The record a source fault retires under skip and retry: source faults
+/// are never retried, the source cannot re-produce input it already
+/// consumed (stream.hpp file comment).
+Outcome source_fault(std::size_t index, std::size_t source_pos,
+                     const std::exception_ptr& error) {
+  Outcome out;
+  out.index = index;
+  out.source_pos = source_pos;
+  out.payload = StreamError{index, source_pos, StreamErrorCategory::kSource,
+                            1, describe_error(error)};
+  return out;
+}
+
+/// Takes the next claim for one worker: waits for window room, then cuts
+/// up to claim_size() records from a record source, or pulls one
+/// instance from any other source -- under both locks, as sink calls are,
+/// so next() and consume() stay serialized against each other. Folds the
+/// worker's last measured per-record time into the claim sizing. Returns
+/// false when the worker should exit.
+bool take_claim(PipelineState& state, InstanceSource& source,
+                const CancelToken* cancel, double record_ns,
+                RecordBatch& batch, Claim& claim) {
+  std::unique_lock<std::mutex> pull(state.pull_mu);
+  std::unique_lock<std::mutex> lock(state.mu);
+  if (record_ns > 0.0) {
+    state.record_ns = state.record_ns > 0.0
+                          ? state.record_ns + (record_ns - state.record_ns) / 8.0
+                          : record_ns;
+  }
+  const auto cancelled = [&] { return cancel && cancel->cancelled(); };
+  // wait_for, not wait: an external thread cancelling the token has no way
+  // to notify, so waiters re-check on a coarse timeout.
+  while (!state.failed && !state.source_done && !cancelled() &&
+         state.in_flight >= state.window_limit) {
+    state.cv.wait_for(lock, std::chrono::milliseconds(20));
+  }
+  if (state.failed || state.source_done) return false;
+  if (cancelled()) {
+    if (!state.stats.cancelled) {
+      state.stats.cancelled = true;
+      state.stats.cancel_reason = cancel->reason();
+    }
+    return false;
+  }
+  claim.inst.reset();
+  claim.error = nullptr;
+  if (state.records) {
+    const std::size_t want =
+        std::min(state.window_limit - state.in_flight, claim_size(state));
+    lock.unlock();
+    batch.clear();
+    try {
+      state.records->claim(want, batch);
+    } catch (...) {
+      claim.error = std::current_exception();
+    }
+    claim.count = batch.records.size();
+    lock.lock();
+  } else {
+    try {
+      claim.inst = source.next();
+    } catch (...) {
+      claim.error = std::current_exception();
+    }
+    claim.count = claim.inst ? 1 : 0;
+  }
+  claim.source_pos = source.position().value_or(0);
+  if (claim.count == 0 && !claim.error) {
+    state.source_done = true;
+    state.cv.notify_all();
+    return false;
+  }
+  claim.first_index = state.next_index;
+  const std::size_t claimed = claim.count + (claim.error ? 1 : 0);
+  state.next_index += claimed;
+  admit(state, claimed);
+  state.stats.pulled += claim.count;
+  if (claim.error && state.action == FailureAction::kAbort) {
+    record_failure(state, claim.first_index + claim.count, claim.error);
+    return false;
   }
   return true;
 }
@@ -639,7 +1085,7 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
   PipelineState state;
   if (workers <= 1) {
     // Single worker: the crew runs the loop inline on the calling thread
-    // (run_worker_crew spawns nothing) and pull/solve/retire strictly
+    // (run_worker_crew spawns nothing) and claim/solve/retire strictly
     // alternate -- in-flight never exceeds 1, so report window 1.
     state.window_limit = 1;
     state.adaptive = false;
@@ -652,147 +1098,173 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
   state.next_index = stream.start_index;
   state.next_deliver = stream.start_index;
   state.ordered = stream.ordered;
+  state.records = dynamic_cast<RecordSource*>(&source);
+  state.encoder = dynamic_cast<EncodingSink*>(&sink);
   state.action = stream.on_error.action;
   state.retry = stream.on_error.retry;
   state.retryable =
       state.retry.retryable ? state.retry.retryable : default_retryable;
   state.errors = stream.errors;
   state.progress = &stream.progress;
-  const auto cancelled = [&] { return cancel && cancel->cancelled(); };
+  admit(state, 0);  // allocates the ring
   // The solver spec is part of the cache key; resolve it once, not per
   // record (Solver::name() may build a string).
   const std::string spec = stream.cache != nullptr ? solver.name() : std::string{};
 
-  const auto worker = [&](unsigned) {
-    for (;;) {
-      std::unique_lock<std::mutex> lock(state.mu);
-      // wait_for, not wait: an external thread cancelling the token has no
-      // way to notify, so waiters re-check on a coarse timeout.
-      while (!state.failed && !state.source_done && !cancelled() &&
-             state.in_flight >= state.window_limit) {
-        state.cv.wait_for(lock, std::chrono::milliseconds(20));
-      }
-      if (state.failed || state.source_done) return;
-      if (cancelled()) {
-        if (!state.stats.cancelled) {
-          state.stats.cancelled = true;
-          state.stats.cancel_reason = cancel->reason();
-        }
-        return;
-      }
+  // What a worker's records did besides their outcomes, folded into
+  // StreamStats once per claim.
+  struct Tally {
+    std::size_t retries = 0;
+    std::size_t cache_hits = 0;
+    std::size_t cache_misses = 0;
+    std::size_t malformed = 0;  ///< claimed records that did not parse
+    std::exception_ptr abort;   ///< abort-policy failure at abort_index
+    std::size_t abort_index = 0;
+  };
 
-      // Pull under the lock: sources are single-consumer by contract.
-      std::shared_ptr<const Instance> inst;
-      std::exception_ptr pull_error;
+  // Parses (record sources), solves -- re-attempting per policy, backoff
+  // sleeps included, while other workers keep streaming -- and encodes
+  // (encoding sinks) one claimed record, outside the locks.
+  const auto process = [&](const Claim& claim, const RecordBatch& batch,
+                           std::size_t r, Tally& tally) {
+    Outcome out;
+    out.index = claim.first_index + r;
+    out.source_pos = claim.source_pos;
+    std::optional<Instance> parsed;
+    const Instance* inst = claim.inst.get();
+    if (state.records) {
+      out.source_pos = batch.records[r].line;
       try {
-        inst = source.next();
+        inst = &parsed.emplace(
+            state.records->parse(batch.view(r), out.source_pos));
       } catch (...) {
-        pull_error = std::current_exception();
-      }
-      const std::size_t source_pos = source.position().value_or(0);
-      if (pull_error) {
-        const std::size_t index = state.next_index++;
+        ++tally.malformed;
         if (state.action == FailureAction::kAbort) {
-          record_failure(state, index, pull_error);
-          return;
+          tally.abort = std::current_exception();
+          tally.abort_index = out.index;
+          return out;
         }
-        // Source faults are never retried: the source cannot re-produce
-        // input it already consumed (stream.hpp file comment). Degrade to
-        // skip-with-record and keep pulling.
-        ++state.in_flight;
-        Outcome out;
-        out.source_pos = source_pos;
-        out.payload =
-            StreamError{index, source_pos, StreamErrorCategory::kSource, 1,
-                        describe_error(pull_error)};
-        if (!deliver(state, sink, index, std::move(out))) return;
-        state.cv.notify_all();
-        continue;
+        return source_fault(out.index, out.source_pos,
+                            std::current_exception());
       }
-      if (!inst) {
-        state.source_done = true;
-        state.cv.notify_all();
-        return;
-      }
-      const std::size_t index = state.next_index++;
-      ++state.in_flight;
-      ++state.stats.pulled;
-      state.stats.max_in_flight =
-          std::max(state.stats.max_in_flight, state.in_flight);
-      lock.unlock();
+    }
 
-      // Solve outside the lock, re-attempting per policy. Backoff sleeps
-      // are unlocked too: other workers keep streaming while this record
-      // waits out its backoff.
-      SolveResult result;
-      bool solved = false;
-      bool cache_hit = false;
-      int attempt = 0;
-      int extra_attempts = 0;
-      std::exception_ptr solve_error;
-      for (;;) {
-        ++attempt;
-        try {
-          // Cache consult before the first cold attempt only: a record
-          // that reached the retry path already missed. A hit under
-          // STORESCHED_AUDIT=1 that fails its audit throws here and is
-          // handled exactly like a deterministic solve fault.
-          if (stream.cache != nullptr && attempt == 1) {
-            if (auto cached = stream.cache->lookup(*inst, spec, options)) {
-              result = *std::move(cached);
-              solved = true;
-              cache_hit = true;
-              break;
-            }
+    auto result = std::make_unique<SolveResult>();
+    bool solved = false;
+    bool cache_hit = false;
+    int attempt = 0;
+    std::exception_ptr solve_error;
+    for (;;) {
+      ++attempt;
+      try {
+        // Cache consult before the first cold attempt only: a record that
+        // reached the retry path already missed. A hit under
+        // STORESCHED_AUDIT=1 that fails its audit throws here and is
+        // handled exactly like a deterministic solve fault.
+        if (stream.cache != nullptr && attempt == 1) {
+          if (auto cached = stream.cache->lookup(*inst, spec, options)) {
+            *result = *std::move(cached);
+            solved = true;
+            cache_hit = true;
+            break;
           }
-          failpoint::hit("stream.solve");
-          result = solver.solve(*inst, options);
-          solved = true;
-          if (stream.cache != nullptr) {
-            stream.cache->insert(*inst, spec, options, result);
-          }
-          break;
-        } catch (...) {
-          solve_error = std::current_exception();
         }
-        if (state.action != FailureAction::kRetry) break;
-        if (attempt >= state.retry.max_attempts ||
-            !state.retryable(solve_error)) {
-          break;
+        failpoint::hit("stream.solve");
+        *result = solver.solve(*inst, options);
+        solved = true;
+        if (stream.cache != nullptr) {
+          stream.cache->insert(*inst, spec, options, *result);
         }
-        ++extra_attempts;
-        std::this_thread::sleep_for(
-            backoff_delay(state.retry, index, attempt));
+        break;
+      } catch (...) {
+        solve_error = std::current_exception();
       }
-      const std::size_t footprint =
-          solved ? estimate_footprint(*inst, result) : 0;
-      inst.reset();
-
-      lock.lock();
-      state.stats.retries += static_cast<std::size_t>(extra_attempts);
-      if (cache_hit) {
-        ++state.stats.cache_hits;
-      } else if (stream.cache != nullptr) {
-        ++state.stats.cache_misses;
+      if (state.action != FailureAction::kRetry) break;
+      if (attempt >= state.retry.max_attempts ||
+          !state.retryable(solve_error)) {
+        break;
       }
-      if (state.failed) return;
-      if (!solved && state.action == FailureAction::kAbort) {
-        record_failure(state, index, solve_error);
-        return;
-      }
-      Outcome out;
-      out.source_pos = source_pos;
-      if (solved) {
-        observe_footprint(state, footprint);
-        out.retried = attempt > 1;
-        out.payload = std::move(result);
+      ++tally.retries;
+      std::this_thread::sleep_for(
+          backoff_delay(state.retry, out.index, attempt));
+    }
+    if (cache_hit) {
+      ++tally.cache_hits;
+    } else if (stream.cache != nullptr) {
+      ++tally.cache_misses;
+    }
+    if (!solved) {
+      if (state.action == FailureAction::kAbort) {
+        tally.abort = solve_error;
+        tally.abort_index = out.index;
       } else {
         out.payload =
-            StreamError{index, source_pos, StreamErrorCategory::kSolve,
+            StreamError{out.index, out.source_pos, StreamErrorCategory::kSolve,
                         attempt, describe_error(solve_error)};
       }
-      if (!deliver(state, sink, index, std::move(out))) return;
-      state.cv.notify_all();
+      return out;
+    }
+    out.footprint = estimate_footprint(*inst, *result);
+    out.feasible = result->feasible;
+    out.retried = attempt > 1;
+    if (!state.encoder) {
+      out.payload = std::move(result);
+      return out;
+    }
+    std::string bytes;
+    try {
+      state.encoder->encode(out.index, *result, bytes);
+      out.payload = std::move(bytes);
+    } catch (...) {
+      if (state.action == FailureAction::kAbort) {
+        tally.abort = std::current_exception();
+        tally.abort_index = out.index;
+      } else {
+        out.payload =
+            StreamError{out.index, out.source_pos, StreamErrorCategory::kSink,
+                        1, describe_error(std::current_exception())};
+      }
+    }
+    return out;
+  };
+
+  const auto worker = [&](unsigned) {
+    RecordBatch batch;
+    Claim claim;
+    std::vector<Outcome> done;
+    double record_ns = 0.0;
+    while (take_claim(state, source, cancel, record_ns, batch, claim)) {
+      // Only claims from record sources take several records, so only
+      // they need the per-record work time.
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point start =
+          state.records ? Clock::now() : Clock::time_point{};
+      Tally tally;
+      for (std::size_t r = 0; r < claim.count && !tally.abort; ++r) {
+        done.push_back(process(claim, batch, r, tally));
+      }
+      if (claim.error) {
+        done.push_back(source_fault(claim.first_index + claim.count,
+                                    claim.source_pos, claim.error));
+      }
+      claim.inst.reset();
+      record_ns = state.records && claim.count > 0
+                      ? std::chrono::duration<double, std::nano>(
+                            Clock::now() - start)
+                                .count() /
+                            static_cast<double>(claim.count)
+                      : 0.0;
+
+      std::unique_lock<std::mutex> lock(state.mu);
+      state.stats.retries += tally.retries;
+      state.stats.cache_hits += tally.cache_hits;
+      state.stats.cache_misses += tally.cache_misses;
+      state.stats.pulled -= tally.malformed;
+      if (tally.abort) {
+        record_failure(state, tally.abort_index, tally.abort);
+        return;
+      }
+      if (!deposit(state, sink, lock, done)) return;
     }
   };
 

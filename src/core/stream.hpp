@@ -19,6 +19,15 @@
 // is cooperative via CancelToken; per-solve wall-clock deadlines ride in
 // SolveOptions::deadline and surface as infeasible-with-diagnostics.
 //
+// Sources and sinks may opt into a split contract (RecordSource,
+// EncodingSink) that moves parsing and serializing out of the pipeline's
+// serialized sections: a claim only cuts raw record bytes under
+// the pull lock, the workers parse, solve and encode each record into its
+// own buffer, and one writer at a time appends each contiguous run of
+// finished records with a single write(). JsonlInstanceSource and
+// JsonlResultSink opt in; everything else keeps one next() per pull and
+// one consume() per result.
+//
 // Failure handling is a per-run policy (StreamOptions::on_error):
 //
 //   abort   (default) the first source/solve/sink exception cancels the
@@ -60,6 +69,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/solver.hpp"
 
@@ -80,6 +91,8 @@ namespace storesched {
 /// stderr summary.
 class CancelToken {
  public:
+  /// Reasonless cancel: one lock-free atomic store, so it is safe to call
+  /// from a signal handler (the CLI's SIGINT/SIGTERM path does).
   void request_cancel() noexcept {
     cancelled_.store(true, std::memory_order_release);
   }
@@ -101,9 +114,34 @@ class CancelToken {
   }
 
  private:
+  static_assert(std::atomic<bool>::is_always_lock_free);
   std::atomic<bool> cancelled_{false};
   mutable std::mutex mu_;
   std::string reason_;
+};
+
+/// Raw records cut by a RecordSource (RecordSource::claim): the
+/// records' bytes back to back, each with the 1-based input line it sat on.
+struct RecordBatch {
+  struct Record {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+    std::size_t line = 0;
+  };
+  std::string bytes;
+  std::vector<Record> records;
+
+  void clear() {
+    bytes.clear();
+    records.clear();
+  }
+  void add(std::string_view record, std::size_t line) {
+    records.push_back({bytes.size(), record.size(), line});
+    bytes.append(record);
+  }
+  std::string_view view(std::size_t i) const {
+    return {bytes.data() + records[i].offset, records[i].size};
+  }
 };
 
 /// Pull-based instance stream. Sources are consumed by exactly one
@@ -128,21 +166,69 @@ class InstanceSource {
 
   /// Units of input consumed so far (1-based line count for JSONL text),
   /// when the source tracks one. Read by the driver right after each
-  /// next() call -- successful or throwing -- to stamp error records and
-  /// resume journals; a source error that consumed no input leaves it
-  /// unchanged.
+  /// next() or claim() call -- successful or throwing -- to stamp error
+  /// records and resume journals; a source error that consumed no input
+  /// leaves it unchanged.
   virtual std::optional<std::size_t> position() const { return std::nullopt; }
+};
+
+/// A source that hands out raw records (the split contract): solve_stream
+/// never calls its next(). Under the pull lock it calls claim(), which
+/// only cuts records; workers then call parse() concurrently, outside any
+/// lock.
+class RecordSource : public InstanceSource {
+ public:
+  /// One claim() and parse(), for callers that want instances.
+  std::shared_ptr<const Instance> next() override;
+
+  /// Appends up to `max` (>= 1) complete records to `batch`, stamping each
+  /// with its input line. Blocks on input only while `batch` gained no
+  /// record yet; returns with nothing added at the end of the input. May
+  /// throw before cutting a record (e.g. an armed failpoint); the records
+  /// cut before the throw stay in `batch` and count as claimed.
+  virtual void claim(std::size_t max, RecordBatch& batch) = 0;
+
+  /// Parses one claimed record. Must be safe to call concurrently with
+  /// itself and with claim(). Throws on malformed input.
+  virtual Instance parse(std::string_view record, std::size_t line) const = 0;
+
+ private:
+  RecordBatch one_;  ///< next()'s single-record claim
 };
 
 /// Push-based result consumer. The driver serializes consume() calls
 /// (implementations need not be thread-safe) and never calls it twice for
 /// the same index -- except under the retry policy, where a consume() that
 /// threw is re-attempted with an identical copy of the result. `index` is
-/// the 0-based position of the instance in its source's order.
+/// the 0-based position of the instance in its source's order. A sink's
+/// consume() and a source's next() run under the same pipeline lock, so the
+/// two may share unsynchronized state.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
   virtual void consume(std::size_t index, SolveResult result) = 0;
+};
+
+/// A sink that takes encoded bytes (the split contract): solve_stream never
+/// calls its consume(). Workers call encode() concurrently, each into its
+/// own buffer, and one writer at a time hands write() the encoded bytes of
+/// a contiguous run of records, in delivery order.
+class EncodingSink : public ResultSink {
+ public:
+  /// encode() then write(), for callers that hold results.
+  void consume(std::size_t index, SolveResult result) override;
+
+  /// Appends the bytes `result` stands for to `out`. Must be safe to call
+  /// concurrently with itself and with write().
+  virtual void encode(std::size_t index, const SolveResult& result,
+                      std::string& out) const = 0;
+
+  /// Writes the encoded bytes of one or more records. A throw fails every
+  /// record in `bytes` (as a sink error under skip/retry).
+  virtual void write(std::string_view bytes) = 0;
+
+ private:
+  std::string bytes_;  ///< consume()'s encode buffer
 };
 
 /// Why a record failed: which stage of the pipeline threw.
@@ -217,21 +303,46 @@ class GeneratorSource final : public InstanceSource {
 };
 
 /// Source over instance JSONL text (one instance_from_jsonl() object per
-/// line; blank lines skipped). Malformed lines throw std::runtime_error
+/// line; blank and whitespace-only lines skipped, "\r\n" endings and a last
+/// line without "\n" accepted). Malformed lines throw std::runtime_error
 /// naming the 1-based line number. `first_line` offsets the numbering for
 /// resumed runs that already consumed a prefix of the file, so error
 /// messages keep naming the physical line. Carries the failpoint site
-/// "source.next" (fires before any input is consumed).
-class JsonlInstanceSource final : public InstanceSource {
+/// "source.next" (fires once per record, and once at the end of the input,
+/// before the record's input is consumed).
+///
+/// Opts into the split contract. The source reads the stream's buffer
+/// directly, one underlying read per refill, and never blocks while it has
+/// a complete line to hand out -- so feeding it from a pipe whose writer
+/// waits for earlier results cannot stall the pipeline. Do not read `in`
+/// through the istream while the source is in use.
+class JsonlInstanceSource final : public RecordSource {
  public:
   explicit JsonlInstanceSource(std::istream& in, std::size_t first_line = 0)
       : in_(in), line_number_(first_line) {}
-  std::shared_ptr<const Instance> next() override;
   std::optional<std::size_t> position() const override { return line_number_; }
+  void claim(std::size_t max, RecordBatch& batch) override;
+  Instance parse(std::string_view record, std::size_t line) const override;
 
  private:
+  /// Where the next record sits in the buffer, found without consuming.
+  struct Located {
+    enum { kRecord, kEnd, kPending } status = kPending;
+    std::size_t begin = 0;  ///< record bytes, "\n" excluded
+    std::size_t end = 0;
+    std::size_t next = 0;   ///< buffer offset just past the record
+    std::size_t lines = 0;  ///< lines consumed, blank ones included
+  };
+  Located locate(bool wait);
+  /// One underlying read into the buffer; sets eof_ at the end of input.
+  void refill();
+
   std::istream& in_;
   std::size_t line_number_;
+  std::string buffer_;
+  std::size_t head_ = 0;  ///< first unconsumed byte
+  std::size_t tail_ = 0;  ///< end of buffered bytes
+  bool eof_ = false;
 };
 
 /// Sink that stores each result at its index in a caller-owned vector
@@ -288,13 +399,14 @@ struct JsonlResultOptions {
 std::string result_to_jsonl(std::size_t index, const SolveResult& result,
                             const JsonlResultOptions& options = {});
 
-/// The body of a result line without the leading "index" key: a
-/// comma-led field list ( ,"feasible":...,"cmax":... ) ready to splice
-/// into any enclosing JSON object. result_to_jsonl() and the serving
-/// tier's response lines (serve/protocol.hpp) are both built on this, so
-/// the result vocabulary cannot drift between the batch and serve wires.
-std::string result_jsonl_fields(const SolveResult& result,
-                                const JsonlResultOptions& options = {});
+/// Appends the body of a result line without the leading "index" key to
+/// `out`: a comma-led field list ( ,"feasible":...,"cmax":... ) ready to
+/// splice into any enclosing JSON object. result_to_jsonl() and the
+/// serving tier's response lines (serve/protocol.hpp) are both built on
+/// this, so the result vocabulary cannot drift between the batch and
+/// serve wires.
+void result_jsonl_fields(const SolveResult& result,
+                         const JsonlResultOptions& options, std::string& out);
 
 /// Thrown by the JSONL sinks when the underlying ostream reports a write
 /// failure (badbit/failbit: full disk, closed pipe). A dedicated type so
@@ -308,13 +420,16 @@ class StreamWriteError : public std::runtime_error {
 /// Sink that writes one result_to_jsonl() line per result to a stream.
 /// Checks the stream state after every write and throws StreamWriteError
 /// on badbit/failbit -- a full disk or closed pipe surfaces as a stream
-/// error instead of silently dropping results.
-class JsonlResultSink final : public ResultSink {
+/// error instead of silently dropping results. Opts into the split
+/// contract: workers encode lines, the writer appends runs of them.
+class JsonlResultSink final : public EncodingSink {
  public:
   explicit JsonlResultSink(std::ostream& out,
                            const JsonlResultOptions& options = {})
       : out_(out), options_(options) {}
-  void consume(std::size_t index, SolveResult result) override;
+  void encode(std::size_t index, const SolveResult& result,
+              std::string& out) const override;
+  void write(std::string_view bytes) override;
 
  private:
   std::ostream& out_;
@@ -410,9 +525,11 @@ struct StreamOptions {
   /// Index assigned to the first record -- resumed runs pass the journal's
   /// completed count so output lines keep their global indices.
   std::size_t start_index = 0;
-  /// Called under the driver lock after each retired record (ordered mode
-  /// only; never called in as-completed mode, which has no contiguity to
-  /// report). A throwing callback aborts the run.
+  /// Called after each retired record, once the sink holds its bytes (for
+  /// an EncodingSink: after the write() that carried them), one call at
+  /// a time, in index order (ordered mode only; never called in
+  /// as-completed mode, which has no contiguity to report). A throwing
+  /// callback aborts the run.
   std::function<void(const StreamProgress&)> progress;
   /// Canonicalization-keyed result cache (storage/result_cache.hpp), not
   /// owned; must outlive the run. When set, each record is looked up

@@ -343,30 +343,40 @@ ServeRequest serve_request_from_jsonl(const std::string& line) {
 
 std::string serve_response_to_jsonl(const ServeResponse& response,
                                     const JsonlResultOptions& options) {
-  std::ostringstream os;
-  os << '{';
+  std::string out = "{";
+  const auto string_field = [&](const char* key, const std::string& value) {
+    out += key;
+    append_json_escaped(out, value);
+    out += '"';
+  };
   if (!response.id.empty()) {
-    os << "\"id\":\"" << json_escape(response.id) << "\",";
+    string_field("\"id\":\"", response.id);
+    out += ',';
   }
-  os << "\"ok\":" << (response.ok ? "true" : "false");
-  if (!response.ok) {
-    os << ",\"error\":\"" << json_escape(response.error) << '"';
-  }
+  out += response.ok ? "\"ok\":true" : "\"ok\":false";
+  if (!response.ok) string_field(",\"error\":\"", response.error);
   if (!response.cancel_ack.empty()) {
-    os << ",\"cancelled\":\"" << json_escape(response.cancel_ack) << '"';
+    string_field(",\"cancelled\":\"", response.cancel_ack);
   }
   if (response.admission) {
-    os << ",\"admission\":\"" << to_string(*response.admission) << '"';
+    out += ",\"admission\":\"";
+    out += to_string(*response.admission);
+    out += '"';
   }
   if (!response.spec.empty()) {
-    os << ",\"spec\":\"" << json_escape(response.spec) << '"';
-    if (response.rung >= 0) os << ",\"rung\":" << response.rung;
-    os << ",\"queue_ms\":" << fmt(response.queue_ms, 3)
-       << ",\"solve_ms\":" << fmt(response.solve_ms, 3);
+    string_field(",\"spec\":\"", response.spec);
+    if (response.rung >= 0) {
+      out += ",\"rung\":";
+      out += std::to_string(response.rung);
+    }
+    out += ",\"queue_ms\":";
+    out += fmt(response.queue_ms, 3);
+    out += ",\"solve_ms\":";
+    out += fmt(response.solve_ms, 3);
   }
-  if (response.result) os << result_jsonl_fields(*response.result, options);
-  os << '}';
-  return os.str();
+  if (response.result) result_jsonl_fields(*response.result, options, out);
+  out += '}';
+  return out;
 }
 
 void LineFramer::feed(const char* data, std::size_t size) {

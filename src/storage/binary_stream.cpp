@@ -5,12 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <stdexcept>
+#include <streambuf>
 #include <utility>
 
 namespace storesched::storage {
@@ -36,8 +37,18 @@ struct BinaryInstanceSource::Buffer {
   }
 
   void slurp(std::istream& in) {
-    std::string raw(std::istreambuf_iterator<char>(in), {});
-    if (in.bad()) {
+    // Whole blocks through the stream buffer, not one character at a time.
+    std::string raw;
+    std::streambuf* const buf = in.rdbuf();
+    constexpr std::streamsize kBlock = std::streamsize{1} << 16;
+    try {
+      for (std::streamsize got = kBlock; buf != nullptr && got == kBlock;) {
+        const std::size_t at = raw.size();
+        raw.resize(at + kBlock);
+        got = std::max<std::streamsize>(buf->sgetn(raw.data() + at, kBlock), 0);
+        raw.resize(at + static_cast<std::size_t>(got));
+      }
+    } catch (const std::exception&) {
       throw std::runtime_error("binary wire: read failure while slurping");
     }
     heap.resize((raw.size() + 7) / 8);

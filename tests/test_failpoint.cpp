@@ -1,10 +1,12 @@
 // Tests for the failpoint registry (common/failpoint.hpp): action grammar,
-// selectors, hit counting, env arming, and the zero-cost disarmed path.
+// selectors, hit counting, env arming, signal effects, and the zero-cost
+// disarmed path.
 #include "common/failpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -145,6 +147,59 @@ TEST(Failpoint, ReloadFromEnvArmsAndClears) {
   failpoint::reload_from_env();
   EXPECT_NO_THROW(failpoint::hit("env.a"));
   EXPECT_EQ(failpoint::hits("env.a"), 0u);
+}
+
+TEST(Failpoint, RaiseGrammarNamesThreeSignals) {
+  FailpointGuard guard;
+  for (const char* good :
+       {"raise(KILL)", "raise(TERM)", "raise(INT)", "nth(2):raise(TERM)",
+        "every(3):raise(INT)", "prob(0.5,9):raise(KILL)"}) {
+    EXPECT_NO_THROW(failpoint::set("t.site", good)) << good;
+  }
+  for (const char* bad : {"raise", "raise()", "raise(HUP)", "raise(kill)",
+                          "raise(9)", "raise(KILL,TERM)", "raise(SIGKILL)",
+                          "nth(2):raise"}) {
+    EXPECT_THROW(failpoint::set("t.site", bad), std::invalid_argument)
+        << "accepted: \"" << bad << "\"";
+  }
+}
+
+volatile std::sig_atomic_t g_caught = 0;
+
+extern "C" void record_signal(int sig) { g_caught = sig; }
+
+TEST(Failpoint, RaiseRunsTheHandlerBeforeHitReturns) {
+  // A handled SIGTERM/SIGINT lands on the selected hit, synchronously:
+  // the handler has run by the time hit() returns, and execution goes on.
+  FailpointGuard guard;
+  for (const auto& [action, sig] :
+       {std::pair<const char*, int>{"nth(2):raise(TERM)", SIGTERM},
+        std::pair<const char*, int>{"nth(2):raise(INT)", SIGINT}}) {
+    g_caught = 0;
+    const auto previous = std::signal(sig, record_signal);
+    failpoint::set("t.site", action);
+    failpoint::hit("t.site");
+    EXPECT_EQ(g_caught, 0) << action;
+    failpoint::hit("t.site");
+    EXPECT_EQ(g_caught, sig) << action;
+    g_caught = 0;
+    failpoint::hit("t.site");  // nth: only the 2nd hit
+    EXPECT_EQ(g_caught, 0) << action;
+    std::signal(sig, previous);
+  }
+}
+
+TEST(Failpoint, RaiseKillEndsTheProcessOnTheSelectedHit) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        failpoint::set("t.site", "nth(3):raise(KILL)");
+        failpoint::hit("t.site");
+        failpoint::hit("t.site");
+        failpoint::hit("t.site");
+        std::_Exit(0);  // not reached: the 3rd hit kills
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
 }
 
 TEST(Failpoint, InjectedFaultIsARuntimeError) {

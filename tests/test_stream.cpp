@@ -1,16 +1,22 @@
 // Tests for the streaming solve pipeline (core/stream.hpp): batch/stream
 // equivalence, bounded-window backpressure, ordered vs as-completed
 // delivery, cooperative cancellation, per-solve deadlines, worker-exception
-// attribution, and the JSONL wire format.
+// attribution, the JSONL wire format, and the split claim/encode/write
+// contract.
 #include "core/stream.hpp"
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
+#include <thread>
 #include <vector>
 
 #include <filesystem>
@@ -1069,6 +1075,381 @@ TEST(StreamStartIndex, OffsetsEveryRecordIndex) {
                                          source, sink, {}, stream);
   EXPECT_EQ(stats.delivered, 3u);
   EXPECT_EQ(indices, (std::vector<std::size_t>{100, 101, 102}));
+}
+
+// ---------------------------------------------------------------------------
+// The split contract: claims cut raw lines, workers parse/solve/encode, one
+// writer appends runs. JsonlInstanceSource and JsonlResultSink opt in.
+// ---------------------------------------------------------------------------
+
+std::string jsonl_text(const std::vector<Instance>& instances) {
+  std::string text;
+  for (const Instance& inst : instances) text += instance_to_jsonl(inst) + "\n";
+  return text;
+}
+
+/// Runs `text` through a JSONL source and sink; returns the result bytes.
+std::string solve_jsonl(const std::string& text, int threads, bool ordered,
+                        const char* spec = "rls:input,delta=3") {
+  std::istringstream in(text);
+  std::ostringstream out;
+  JsonlInstanceSource source(in);
+  JsonlResultSink sink(out);
+  StreamOptions stream;
+  stream.threads = threads;
+  stream.ordered = ordered;
+  solve_stream(*make_solver(spec), source, sink, {}, stream);
+  return out.str();
+}
+
+/// Result lines sorted by their "index" (as-completed output, normalized).
+std::string sorted_by_index(const std::string& text) {
+  std::vector<std::pair<std::size_t, std::string>> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t at = line.find("\"index\":") + 8;
+    lines.emplace_back(std::stoul(line.substr(at)), line);
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const auto& [index, l] : lines) out += l + "\n";
+  return out;
+}
+
+TEST(StreamSplit, JsonlOutputIsByteIdenticalAtEveryThreadCount) {
+  const std::string text = jsonl_text(random_instances(300, 0x5b1));
+  const std::string reference = solve_jsonl(text, 1, true);
+  ASSERT_EQ(std::count(reference.begin(), reference.end(), '\n'), 300);
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(solve_jsonl(text, threads, true), reference)
+        << "ordered, threads=" << threads;
+    EXPECT_EQ(sorted_by_index(solve_jsonl(text, threads, false)), reference)
+        << "as-completed, threads=" << threads;
+  }
+}
+
+/// A stream buffer that hands out its text `chunk` bytes per underflow, the
+/// way a pipe delivers short reads.
+class ChunkedBuf final : public std::streambuf {
+ public:
+  ChunkedBuf(std::string text, std::size_t chunk)
+      : text_(std::move(text)), chunk_(chunk) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= text_.size()) return traits_type::eof();
+    const std::size_t n = std::min(chunk_, text_.size() - pos_);
+    char* at = text_.data() + pos_;
+    setg(at, at, at + n);
+    pos_ += n;
+    return traits_type::to_int_type(*at);
+  }
+
+ private:
+  std::string text_;
+  std::size_t chunk_;
+  std::size_t pos_ = 0;
+};
+
+TEST(JsonlSource, CutsTheSameRecordsAsALineReaderAcrossRefills) {
+  // CRLF endings, blank and whitespace-only lines, a line longer than the
+  // source's 64 KiB read buffer, and a last line without "\n".
+  Rng rng(0x11e5);
+  GenParams huge;
+  huge.n = 12000;
+  huge.m = 8;
+  const std::vector<Instance> small = random_instances(40, 0xc4f);
+  std::string text;
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    text += instance_to_jsonl(small[i]);
+    text += i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 7 == 2) text += "\n";
+    if (i % 9 == 4) text += "  \t \r\n";
+    if (i == 20) text += instance_to_jsonl(generate_uniform(huge, rng)) + "\n";
+  }
+  text += instance_to_jsonl(small.front());  // unterminated last line
+  ASSERT_GT(text.size(), std::size_t{64} << 10);
+
+  // The historical reader: std::getline, skip lines of " \t\r".
+  std::vector<std::pair<std::string, std::size_t>> expected;
+  {
+    std::istringstream in(text);
+    std::string line;
+    std::size_t number = 0;
+    while (std::getline(in, line)) {
+      ++number;
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      expected.emplace_back(line, number);
+    }
+  }
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}, text.size()}) {
+    ChunkedBuf buf(text, chunk);
+    std::istream in(&buf);
+    JsonlInstanceSource source(in);
+    RecordBatch batch;
+    std::vector<std::pair<std::string, std::size_t>> got;
+    for (;;) {
+      batch.clear();
+      source.claim(5, batch);
+      if (batch.records.empty()) break;
+      for (std::size_t i = 0; i < batch.records.size(); ++i) {
+        got.emplace_back(std::string(batch.view(i)), batch.records[i].line);
+      }
+    }
+    EXPECT_EQ(got, expected) << "chunk " << chunk;
+    // Trailing blank lines count too: the position ends at the last line.
+    EXPECT_EQ(source.position(), expected.back().second) << "chunk " << chunk;
+  }
+
+  // And the whole pipeline over the short reads matches the plain run.
+  const std::string reference = solve_jsonl(text, 1, true, "graham:lpt");
+  ChunkedBuf buf(text, 7);
+  std::istream in(&buf);
+  std::ostringstream out;
+  JsonlInstanceSource source(in);
+  JsonlResultSink sink(out);
+  StreamOptions stream;
+  stream.threads = 4;
+  solve_stream(*make_solver("graham:lpt"), source, sink, {}, stream);
+  EXPECT_EQ(out.str(), reference);
+  EXPECT_EQ(std::count(reference.begin(), reference.end(), '\n'),
+            static_cast<std::ptrdiff_t>(expected.size()));
+}
+
+TEST(StreamSplit, MalformedLineKeepsItsErrorTextAndLineUnderEveryPolicy) {
+  // 30 records with a blank line at line 5, so the bad record at physical
+  // line 24 is record index 22.
+  const std::vector<Instance> instances = random_instances(30, 0xba0);
+  const std::string bad = "{\"m\":2,\"tasks\":[[1,2]],\"zap\":1}";
+  std::string text;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (i == 4) text += "\n";
+    text += (i == 22 ? bad : instance_to_jsonl(instances[i])) + "\n";
+  }
+  std::string parser_what;
+  try {
+    instance_from_jsonl(bad, 24);
+  } catch (const std::runtime_error& e) {
+    parser_what = e.what();
+  }
+  ASSERT_FALSE(parser_what.empty());
+  const auto solver = make_solver("rls:input,delta=3");
+
+  for (const int threads : {1, 4}) {
+    // Abort: today's text, naming the record and the physical line.
+    {
+      std::istringstream in(text);
+      std::ostringstream out;
+      JsonlInstanceSource source(in);
+      JsonlResultSink sink(out);
+      StreamOptions stream;
+      stream.threads = threads;
+      try {
+        solve_stream(*solver, source, sink, {}, stream);
+        FAIL() << "expected std::runtime_error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "solve_stream: instance 22: " + parser_what);
+      }
+      // One worker delivers every record before the bad one first, as a
+      // pull of one record at a time did.
+      if (threads == 1) {
+        const std::string written = out.str();
+        EXPECT_EQ(std::count(written.begin(), written.end(), '\n'), 22);
+      }
+    }
+    // Skip and retry: one source record, never retried; the rest stream.
+    for (const FailureAction action :
+         {FailureAction::kSkip, FailureAction::kRetry}) {
+      std::istringstream in(text);
+      std::ostringstream out;
+      JsonlInstanceSource source(in);
+      JsonlResultSink sink(out);
+      std::vector<StreamError> errors;
+      VectorErrorSink error_sink(errors);
+      StreamOptions stream;
+      stream.threads = threads;
+      stream.on_error.action = action;
+      stream.errors = &error_sink;
+      const StreamStats stats = solve_stream(*solver, source, sink, {}, stream);
+      EXPECT_EQ(stats.delivered, 29u);
+      EXPECT_EQ(stats.failed, 1u);
+      EXPECT_EQ(stats.pulled, 29u);
+      EXPECT_EQ(stats.retries, 0u);
+      EXPECT_EQ(stats.source_lines, 31u);
+      ASSERT_EQ(errors.size(), 1u);
+      EXPECT_EQ(stream_error_to_jsonl(errors[0]),
+                stream_error_to_jsonl(StreamError{
+                    22, 24, StreamErrorCategory::kSource, 1, parser_what}));
+      const std::string written = out.str();
+      EXPECT_EQ(std::count(written.begin(), written.end(), '\n'), 29);
+      EXPECT_EQ(written.find("{\"index\":22,"), std::string::npos);
+    }
+  }
+}
+
+TEST(StreamSplit, ProgressFiresOnlyAfterTheBytesItCountsAreWritten) {
+  // The journal flushes and checkpoints from this callback: every result
+  // it counts must already be in the stream (flush before checkpoint).
+  const std::string text = jsonl_text(random_instances(400, 0xf1u));
+  for (const int threads : {1, 4}) {
+    std::istringstream in(text);
+    std::ostringstream out;
+    JsonlInstanceSource source(in);
+    JsonlResultSink sink(out);
+    StreamOptions stream;
+    stream.threads = threads;
+    std::size_t calls = 0;
+    stream.progress = [&](const StreamProgress& p) {
+      ++calls;
+      const std::string written = out.str();
+      EXPECT_GE(static_cast<std::size_t>(
+                    std::count(written.begin(), written.end(), '\n')),
+                p.delivered)
+          << "completed " << p.completed;
+      EXPECT_EQ(p.source_lines, p.completed);  // one record per line
+    };
+    const StreamStats stats = solve_stream(*make_solver("rls:input,delta=3"),
+                                           source, sink, {}, stream);
+    EXPECT_EQ(stats.delivered, 400u);
+    EXPECT_EQ(calls, 400u) << "threads=" << threads;
+  }
+}
+
+TEST(StreamSplit, SourceAndSinkFailpointsStillFireOncePerRecord) {
+  // nth(K) keeps selecting the K-th record: claims hit source.next once per
+  // record (and once at the end), the writer hits sink.consume once per
+  // delivered record, in index order.
+  FailpointGuard guard;
+  const std::string text = jsonl_text(random_instances(40, 0x0ce));
+  for (const int threads : {1, 4}) {
+    failpoint::set("source.next", "nth(7):throw");
+    failpoint::set("sink.consume", "nth(11):throw");
+    std::istringstream in(text);
+    std::ostringstream out;
+    JsonlInstanceSource source(in);
+    JsonlResultSink sink(out);
+    std::vector<StreamError> errors;
+    VectorErrorSink error_sink(errors);
+    StreamOptions stream;
+    stream.threads = threads;
+    stream.on_error.action = FailureAction::kSkip;
+    stream.errors = &error_sink;
+    const StreamStats stats = solve_stream(*make_solver("rls:input,delta=3"),
+                                           source, sink, {}, stream);
+    // The 7th pull consumed no line: index 6 is the fault, the 40 records
+    // take indices 0-5 and 7-40. The 11th delivery is index 11.
+    ASSERT_EQ(errors.size(), 2u) << "threads=" << threads;
+    EXPECT_EQ(errors[0].index, 6u);
+    EXPECT_EQ(errors[0].line, 6u);
+    EXPECT_EQ(errors[0].category, StreamErrorCategory::kSource);
+    EXPECT_EQ(errors[1].index, 11u);
+    EXPECT_EQ(errors[1].category, StreamErrorCategory::kSink);
+    EXPECT_EQ(stats.delivered, 39u);
+    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(failpoint::hits("source.next"), 42u);  // 40 + fault + end
+    EXPECT_EQ(failpoint::hits("sink.consume"), 40u);
+    failpoint::clear_all();
+  }
+}
+
+/// Reads a pipe's read end, one read(2) per underflow.
+class FdBuf final : public std::streambuf {
+ public:
+  explicit FdBuf(int fd) : fd_(fd) {}
+
+ protected:
+  int_type underflow() override {
+    const ssize_t n = ::read(fd_, buffer_, sizeof buffer_);
+    if (n <= 0) return traits_type::eof();
+    setg(buffer_, buffer_, buffer_ + n);
+    return traits_type::to_int_type(buffer_[0]);
+  }
+
+ private:
+  int fd_;
+  char buffer_[4096];
+};
+
+/// An encoding sink that counts written lines and wakes a waiter.
+class CountingSink final : public EncodingSink {
+ public:
+  explicit CountingSink(std::function<void()> on_line)
+      : on_line_(std::move(on_line)) {}
+  void encode(std::size_t index, const SolveResult& result,
+              std::string& out) const override {
+    out += result_to_jsonl(index, result) + "\n";
+  }
+  void write(std::string_view bytes) override {
+    for (const char c : bytes) {
+      if (c == '\n') on_line_();
+    }
+  }
+
+ private:
+  std::function<void()> on_line_;
+};
+
+TEST(StreamSplit, PipeWriterWaitingForEachResultNeverDeadlocks) {
+  // The writer sends line k+1 only after result k arrived. A puller that
+  // waits for input while holding the lock delivery needs would hang here
+  // (solves of 2000 tasks leave the other worker time to start pulling);
+  // the feeder gives up after a generous timeout so a regression fails
+  // instead of hanging.
+  Rng rng(0x91e);
+  GenParams gp;
+  gp.n = 2000;
+  gp.m = 4;
+  std::vector<Instance> instances;
+  for (int i = 0; i < 16; ++i) instances.push_back(generate_uniform(gp, rng));
+  for (const bool splitting_sink : {false, true}) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t results = 0;
+    bool timed_out = false;
+    const auto on_result = [&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++results;
+      cv.notify_all();
+    };
+    std::thread feeder([&] {
+      for (std::size_t k = 0; k < instances.size(); ++k) {
+        if (k > 0) {
+          std::unique_lock<std::mutex> lock(mu);
+          if (!cv.wait_for(lock, std::chrono::seconds(20),
+                           [&] { return results >= k; })) {
+            timed_out = true;
+            break;
+          }
+        }
+        const std::string line = instance_to_jsonl(instances[k]) + "\n";
+        ASSERT_EQ(::write(fds[1], line.data(), line.size()),
+                  static_cast<ssize_t>(line.size()));
+      }
+      ::close(fds[1]);
+    });
+    FdBuf buf(fds[0]);
+    std::istream in(&buf);
+    JsonlInstanceSource source(in);
+    CallbackSink callback([&](std::size_t, SolveResult) { on_result(); });
+    CountingSink counting(on_result);
+    StreamOptions stream;
+    stream.threads = 2;
+    const StreamStats stats =
+        solve_stream(*make_solver("rls:input,delta=3"), source,
+                     splitting_sink ? static_cast<ResultSink&>(counting)
+                                    : static_cast<ResultSink&>(callback),
+                     {}, stream);
+    feeder.join();
+    ::close(fds[0]);
+    EXPECT_FALSE(timed_out) << "splitting sink: " << splitting_sink;
+    EXPECT_EQ(stats.delivered, instances.size());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storesched.hpp"
@@ -398,51 +397,48 @@ int run_store_unlink(const CliOptions& cli) {
   return 0;
 }
 
-// Written by the async-signal handler, polled by the cancel watcher:
-// signal handlers cannot touch mutexes, so the CancelToken (whose reason
-// channel locks) is driven from an ordinary thread instead.
+// The SIGINT/SIGTERM handler cancels the run's token itself: a reasonless
+// CancelToken::request_cancel() is one lock-free atomic store, safe in a
+// handler. It also records which signal arrived, for the stderr summary.
+std::atomic<CancelToken*> g_cancel{nullptr};
 std::atomic<int> g_signal{0};
+static_assert(std::atomic<CancelToken*>::is_always_lock_free &&
+              std::atomic<int>::is_always_lock_free);
 
 extern "C" void cli_signal_handler(int sig) {
-  g_signal.store(sig, std::memory_order_relaxed);
+  g_signal.store(sig);
+  if (CancelToken* token = g_cancel.load()) token->request_cancel();
 }
 
-/// Polls g_signal and turns the first SIGINT/SIGTERM into a reasoned
-/// cooperative cancel: in-flight solves finish, delivered work stays
-/// delivered (and journaled), and the reason lands in the stderr summary.
-class SignalCancelWatcher {
+/// Turns SIGINT/SIGTERM into a cooperative cancel of `token` while alive:
+/// in-flight solves finish, delivered work stays delivered (and
+/// journaled), and the signal is named in the stderr summary.
+class SignalCancel {
  public:
-  explicit SignalCancelWatcher(std::shared_ptr<CancelToken> token)
-      : token_(std::move(token)) {
+  explicit SignalCancel(CancelToken& token) {
+    g_cancel.store(&token);
     std::signal(SIGINT, cli_signal_handler);
     std::signal(SIGTERM, cli_signal_handler);
-    thread_ = std::thread([this] {
-      while (!done_.load(std::memory_order_acquire)) {
-        const int sig = g_signal.load(std::memory_order_relaxed);
-        if (sig != 0) {
-          token_->request_cancel(
-              std::string("signal ") +
-              (sig == SIGINT ? "SIGINT" : sig == SIGTERM ? "SIGTERM"
-                                                         : std::to_string(sig))
-              + " received");
-          return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      }
-    });
   }
-  ~SignalCancelWatcher() {
-    done_.store(true, std::memory_order_release);
-    thread_.join();
+  ~SignalCancel() {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+    g_cancel.store(nullptr);
   }
-
- private:
-  std::shared_ptr<CancelToken> token_;
-  std::atomic<bool> done_{false};
-  std::thread thread_;
+  SignalCancel(const SignalCancel&) = delete;
+  SignalCancel& operator=(const SignalCancel&) = delete;
 };
+
+/// "signal SIGTERM received" once a handled signal arrived, else empty.
+std::string signal_reason() {
+  const int sig = g_signal.load();
+  if (sig == 0) return {};
+  return std::string("signal ") +
+         (sig == SIGINT    ? "SIGINT"
+          : sig == SIGTERM ? "SIGTERM"
+                           : std::to_string(sig)) +
+         " received";
+}
 
 int exit_code_for(const StreamStats& stats) {
   if (stats.cancelled) return 2;
@@ -469,10 +465,10 @@ void print_summary(const std::string& solver_name, const CliOptions& cli,
   if (stats.degraded_spawn) std::cerr << ", degraded (worker spawn failed)";
   std::cerr << "\n";
   if (stats.cancelled) {
+    // Only the signal handler cancels the CLI's token.
+    const std::string reason = signal_reason();
     std::cerr << "[storesched_cli] cancelled"
-              << (stats.cancel_reason.empty() ? std::string()
-                                              : ": " + stats.cancel_reason)
-              << "\n";
+              << (reason.empty() ? std::string() : ": " + reason) << "\n";
   }
 }
 
@@ -487,7 +483,7 @@ int run_solve(const CliOptions& cli, std::istream& in, std::ostream& out) {
   stream.on_error.retry.max_attempts = cli.retry_max;
   auto token = std::make_shared<CancelToken>();
   stream.cancel = token;
-  const SignalCancelWatcher watcher(token);
+  const SignalCancel signals(*token);
 
   // Storage attachments must outlive the run (StreamOptions carries a bare
   // cache pointer; the shm source maps the store's bytes).
@@ -674,6 +670,10 @@ int run_check(const CliOptions& cli, std::istream& in) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every byte goes through iostreams (none through C stdio), so the
+  // standard streams need not stay synchronized with it -- synchronized,
+  // std::cin reads one character per call.
+  std::ios::sync_with_stdio(false);
   try {
     const CliOptions cli = parse_cli(argc, argv);
     if (cli.help) {
