@@ -1,15 +1,15 @@
 #include "common/io.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "common/json_cursor.hpp"
 
 namespace storesched {
 
@@ -211,84 +211,6 @@ std::string line_prefix(std::size_t line_number) {
   return line_number > 0 ? "line " + std::to_string(line_number) + ": " : "";
 }
 
-/// Minimal cursor over the fixed instance-line schema. Not a general JSON
-/// parser: objects of known keys, arrays of integer pairs, nothing else.
-struct JsonCursor {
-  std::string_view text;
-  std::size_t line_number;  ///< 1-based position in the stream; 0 = unknown
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("instance_from_jsonl: " +
-                             line_prefix(line_number) + what + " at byte " +
-                             std::to_string(pos));
-  }
-
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\r' || text[pos] == '\n')) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  std::int64_t parse_int() {
-    skip_ws();
-    const std::size_t begin = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
-    if (pos == begin || (pos == begin + 1 && text[begin] == '-')) {
-      fail("expected integer");
-    }
-    std::int64_t value = 0;
-    if (std::from_chars(text.data() + begin, text.data() + pos, value).ec !=
-        std::errc{}) {
-      pos = begin;
-      fail("integer out of range");
-    }
-    return value;
-  }
-
-  std::string_view parse_key() {
-    expect('"');
-    const std::size_t begin = pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') fail("escapes are not allowed in keys");
-      ++pos;
-    }
-    if (pos == text.size()) fail("unterminated key");
-    return text.substr(begin, pos++ - begin);
-  }
-
-  /// [[a,b],[c,d],...] -> emit(a, b) per pair, in order. May be empty.
-  template <typename Emit>
-  void parse_pairs(Emit&& emit) {
-    expect('[');
-    if (consume(']')) return;
-    do {
-      expect('[');
-      const std::int64_t a = parse_int();
-      expect(',');
-      const std::int64_t b = parse_int();
-      expect(']');
-      emit(a, b);
-    } while (consume(','));
-    expect(']');
-  }
-};
-
 }  // namespace
 
 bool has_binary_wire_magic(std::string_view bytes) {
@@ -296,6 +218,59 @@ bool has_binary_wire_magic(std::string_view bytes) {
          bytes.compare(0, sizeof(kBinaryWireMagic),
                        std::string_view(kBinaryWireMagic,
                                         sizeof(kBinaryWireMagic))) == 0;
+}
+
+Instance read_instance(JsonCursor& cur, std::size_t line_number) {
+  enum : std::size_t { kM, kTasks, kEdges };
+  static constexpr std::string_view kKeys[] = {"m", "tasks", "edges"};
+  int m = 0;
+  std::vector<Task> tasks;
+  std::vector<std::pair<std::int64_t, std::int64_t>> edges;
+  const auto pairs = [&](auto&& emit) {
+    cur.array([&] {
+      cur.expect('[');
+      const std::int64_t a = cur.integer();
+      cur.expect(',');
+      const std::int64_t b = cur.integer();
+      cur.expect(']');
+      emit(a, b);
+    });
+  };
+  const std::uint64_t seen = cur.object(kKeys, [&](std::size_t key) {
+    if (key == kM) {
+      const std::int64_t v = cur.integer();
+      if (v < 1 || v > std::numeric_limits<int>::max()) {
+        cur.fail("m out of range");
+      }
+      m = static_cast<int>(v);
+    } else if (key == kTasks) {
+      pairs([&](std::int64_t p, std::int64_t s) { tasks.push_back({p, s}); });
+    } else {
+      pairs([&](std::int64_t u, std::int64_t v) { edges.emplace_back(u, v); });
+    }
+  });
+  cur.require(seen, JsonCursor::bit(kM) | JsonCursor::bit(kTasks), kKeys);
+
+  const auto n = static_cast<std::int64_t>(tasks.size());
+  try {
+    if (!(seen & JsonCursor::bit(kEdges))) return Instance(std::move(tasks), m);
+    Dag dag(tasks.size());
+    for (const auto& [u, v] : edges) {
+      if (u < 0 || u >= n || v < 0 || v >= n) {
+        throw std::invalid_argument("edge [" + std::to_string(u) + "," +
+                                    std::to_string(v) +
+                                    "] references a task outside [0, " +
+                                    std::to_string(n) + ")");
+      }
+      dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v));
+    }
+    return Instance(std::move(tasks), m, std::move(dag));
+  } catch (const std::invalid_argument& e) {
+    // Instance/Dag validation reports as std::invalid_argument; the wire
+    // contract is one exception type for any malformed line.
+    throw std::runtime_error("instance_from_jsonl: " +
+                             line_prefix(line_number) + e.what());
+  }
 }
 
 Instance instance_from_jsonl(std::string_view line,
@@ -306,64 +281,15 @@ Instance instance_from_jsonl(std::string_view line,
         "input is the binary wire format (magic \"STSCHDB1\"), not JSONL -- "
         "use --format=binary (or auto-detection) instead");
   }
-  JsonCursor cur{line, line_number};
-  std::optional<int> m;
-  bool saw_tasks = false;
-  std::vector<Task> tasks;
-  std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> edge_pairs;
-
-  cur.expect('{');
-  if (!cur.consume('}')) {
-    do {
-      const std::string_view key = cur.parse_key();
-      cur.expect(':');
-      if (key == "m") {
-        const std::int64_t v = cur.parse_int();
-        if (v < 1 || v > std::numeric_limits<int>::max()) {
-          cur.fail("m out of range");
-        }
-        m = static_cast<int>(v);
-      } else if (key == "tasks") {
-        // A repeated key replaces the earlier value, as for "m".
-        tasks.clear();
-        saw_tasks = true;
-        cur.parse_pairs(
-            [&](std::int64_t p, std::int64_t s) { tasks.push_back({p, s}); });
-      } else if (key == "edges") {
-        edge_pairs.emplace();
-        cur.parse_pairs([&](std::int64_t u, std::int64_t v) {
-          edge_pairs->emplace_back(u, v);
-        });
-      } else {
-        cur.fail("unknown key \"" + std::string(key) + "\"");
-      }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
-  cur.skip_ws();
-  if (cur.pos != line.size()) cur.fail("trailing garbage");
-  if (!m) cur.fail("missing \"m\"");
-  if (!saw_tasks) cur.fail("missing \"tasks\"");
-
-  const auto n = static_cast<std::int64_t>(tasks.size());
+  JsonCursor cur(line);
   try {
-    if (!edge_pairs) return Instance(std::move(tasks), *m);
-    Dag dag(tasks.size());
-    for (const auto& [u, v] : *edge_pairs) {
-      if (u < 0 || u >= n || v < 0 || v >= n) {
-        throw std::invalid_argument("edge [" + std::to_string(u) + "," +
-                                    std::to_string(v) +
-                                    "] references a task outside [0, " +
-                                    std::to_string(n) + ")");
-      }
-      dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v));
-    }
-    return Instance(std::move(tasks), *m, std::move(dag));
-  } catch (const std::invalid_argument& e) {
-    // Instance/Dag validation reports as std::invalid_argument; the wire
-    // contract is one exception type for any malformed line.
+    Instance inst = read_instance(cur, line_number);
+    cur.expect_end();
+    return inst;
+  } catch (const JsonError& e) {
     throw std::runtime_error("instance_from_jsonl: " +
-                             line_prefix(line_number) + e.what());
+                             line_prefix(line_number) + e.what() +
+                             " at byte " + std::to_string(e.offset()));
   }
 }
 

@@ -73,16 +73,24 @@ bool has_binary_wire_magic(std::string_view bytes);
 /// for precedence instances). Round-trips through instance_from_jsonl().
 std::string instance_to_jsonl(const Instance& inst);
 
-/// Parses an instance_to_jsonl() object. Whitespace between tokens and any
-/// key order are accepted; "m" and "tasks" are required. Throws
-/// std::runtime_error naming the offending token on malformed input,
-/// unknown keys, or an invalid instance (bad m, negative weights, cyclic
-/// or out-of-range edges). Pass the 1-based `line_number` of the line in
-/// its stream so the error also names it -- a bad line deep in a
-/// million-line JSONL stream is unlocatable from the byte offset alone
-/// (0 = unknown, omit the prefix).
+/// Parses an instance_to_jsonl() object under the JSON cursor's rules
+/// (common/json_cursor.hpp): whitespace between tokens and any key order
+/// are accepted; "m" and "tasks" are required. Throws std::runtime_error
+/// naming the offending token on malformed input, unknown or repeated
+/// keys, or an invalid instance (bad m, negative weights, cyclic or
+/// out-of-range edges). Pass the 1-based `line_number` of the line in its
+/// stream so the error also names it -- a bad line deep in a million-line
+/// JSONL stream is unlocatable from the byte offset alone (0 = unknown,
+/// omit the prefix).
 Instance instance_from_jsonl(std::string_view line,
                              std::size_t line_number = 0);
+
+class JsonCursor;
+
+/// The instance object at `cur`, read in place (serve requests embed
+/// one). Token and key faults throw JsonError at the cursor; an invalid
+/// instance throws std::runtime_error("instance_from_jsonl: ...").
+Instance read_instance(JsonCursor& cur, std::size_t line_number = 0);
 
 /// Formats a double with the given number of decimals (fixed notation).
 std::string fmt(double v, int decimals = 3);

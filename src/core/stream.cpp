@@ -19,6 +19,7 @@
 
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
+#include "common/json_cursor.hpp"
 #include "common/parallel.hpp"
 #include "storage/result_cache.hpp"
 
@@ -317,167 +318,54 @@ std::string stream_error_to_jsonl(const StreamError& error) {
   return os.str();
 }
 
-namespace {
-
-/// Strict parser for stream_error_to_jsonl() lines: exactly the emitted
-/// grammar (no whitespace), keys in any order but none unknown, duplicated,
-/// or missing. Errors carry the byte offset -- an error channel that has
-/// itself gone bad should be locatable, not guessed at.
-class ErrorRecordParser {
- public:
-  explicit ErrorRecordParser(const std::string& line) : s_(line) {}
-
-  StreamError parse() {
-    StreamError error;
-    bool saw_index = false, saw_marker = false, saw_category = false;
-    bool saw_line = false, saw_attempts = false, saw_what = false;
-    expect('{');
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "index") {
-        require_fresh(saw_index, key);
-        error.index = parse_uint();
-      } else if (key == "error") {
-        require_fresh(saw_marker, key);
-        if (!try_consume("true")) fail("\"error\" must be true");
-      } else if (key == "category") {
-        require_fresh(saw_category, key);
-        const std::string token = parse_string();
-        if (token == "source") {
-          error.category = StreamErrorCategory::kSource;
-        } else if (token == "solve") {
-          error.category = StreamErrorCategory::kSolve;
-        } else if (token == "sink") {
-          error.category = StreamErrorCategory::kSink;
-        } else {
-          fail("unknown category \"" + token + "\"");
+StreamError stream_error_from_jsonl(const std::string& line) {
+  // Exactly the emitted grammar: no whitespace, keys in any order but none
+  // unknown, repeated or missing ("line" is optional).
+  enum : std::size_t { kIndex, kError, kCategory, kLine, kAttempts, kWhat };
+  static constexpr std::string_view kKeys[] = {"index", "error",    "category",
+                                               "line",  "attempts", "what"};
+  JsonCursor cur(line, /*whitespace=*/false);
+  StreamError error;
+  try {
+    const std::uint64_t seen = cur.object(kKeys, [&](std::size_t key) {
+      switch (key) {
+        case kIndex:
+          error.index = cur.unsigned_integer();
+          break;
+        case kError:
+          if (!cur.consume_word("true")) cur.fail("\"error\" must be true");
+          break;
+        case kCategory: {
+          const std::string token = cur.string();
+          int c = 0;  // kSource, kSolve, kSink
+          while (c < 3 && token != to_string(StreamErrorCategory{c})) ++c;
+          if (c == 3) cur.fail("unknown category \"" + token + "\"");
+          error.category = StreamErrorCategory{c};
+          break;
         }
-      } else if (key == "line") {
-        require_fresh(saw_line, key);
-        error.line = parse_uint();
-        if (error.line == 0) fail("\"line\" must be >= 1 when present");
-      } else if (key == "attempts") {
-        require_fresh(saw_attempts, key);
-        const std::size_t attempts = parse_uint();
-        if (attempts == 0 || attempts > 1000000) {
-          fail("\"attempts\" outside [1, 1000000]");
-        }
-        error.attempts = static_cast<int>(attempts);
-      } else if (key == "what") {
-        require_fresh(saw_what, key);
-        error.what = parse_string();
-      } else {
-        fail("unknown key \"" + key + "\"");
-      }
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    expect('}');
-    if (pos_ != s_.size()) fail("trailing bytes after the record");
-    if (!saw_index) fail("missing \"index\"");
-    if (!saw_marker) fail("missing \"error\" marker");
-    if (!saw_category) fail("missing \"category\"");
-    if (!saw_attempts) fail("missing \"attempts\"");
-    if (!saw_what) fail("missing \"what\"");
-    return error;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("stream error record: " + what + " (at byte " +
-                             std::to_string(pos_) + ")");
-  }
-
-  void require_fresh(bool& seen, const std::string& key) {
-    if (seen) fail("duplicate key \"" + key + "\"");
-    seen = true;
-  }
-
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool try_consume(const char* token) {
-    const std::size_t len = std::string(token).size();
-    if (s_.compare(pos_, len, token) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  std::size_t parse_uint() {
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) fail("expected a number");
-    if (pos_ - begin > 1 && s_[begin] == '0') fail("leading zero in number");
-    if (pos_ - begin > 18) fail("number too large");
-    return static_cast<std::size_t>(std::stoull(s_.substr(begin, pos_ - begin)));
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            if (h >= '0' && h <= '9') {
-              value = value * 16 + static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("malformed \\u escape");
-            }
+        case kLine:
+          error.line = cur.unsigned_integer();
+          if (error.line == 0) cur.fail("\"line\" must be >= 1 when present");
+          break;
+        case kAttempts: {
+          const std::uint64_t attempts = cur.unsigned_integer();
+          if (attempts == 0 || attempts > 1000000) {
+            cur.fail("\"attempts\" outside [1, 1000000]");
           }
-          // json_escape only ever emits \u00XX (control characters); wider
-          // codepoints would need UTF-8 encoding this wire does not use.
-          if (value > 0x7f) fail("\\u escape outside ASCII");
-          out.push_back(static_cast<char>(value));
+          error.attempts = static_cast<int>(attempts);
           break;
         }
         default:
-          fail("unknown escape");
+          error.what = cur.string();
       }
-    }
-    fail("unterminated string");
+    });
+    cur.expect_end();
+    cur.require(seen, ~JsonCursor::bit(kLine), kKeys);
+  } catch (const JsonError& e) {
+    throw std::runtime_error(std::string("stream error record: ") + e.what() +
+                             " (at byte " + std::to_string(e.offset()) + ")");
   }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-StreamError stream_error_from_jsonl(const std::string& line) {
-  return ErrorRecordParser(line).parse();
+  return error;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/io.hpp"
+#include "common/json_cursor.hpp"
 
 namespace storesched {
 
@@ -48,250 +48,6 @@ std::string fmt_ms(double v) {
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
 }
-
-/// Strict cursor over one request line (the ErrorRecordParser school:
-/// exact tokens, no leading zeros, duplicate keys rejected).
-class RequestParser {
- public:
-  explicit RequestParser(const std::string& line) : s_(line) {}
-
-  ServeRequest parse() {
-    ServeRequest req;
-    bool saw_id = false, saw_instance = false, saw_spec = false;
-    bool saw_slo = false, saw_deadline = false, saw_priority = false;
-    bool saw_quality = false, saw_statsz = false, saw_cancel = false;
-    bool saw_ref = false;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != '}') {
-      for (;;) {
-        skip_ws();
-        const std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        if (key == "id") {
-          require_fresh(saw_id, key);
-          req.id = parse_string();
-        } else if (key == "instance") {
-          require_fresh(saw_instance, key);
-          req.instance = std::make_shared<Instance>(
-              instance_from_jsonl(parse_raw_object()));
-        } else if (key == "ref") {
-          require_fresh(saw_ref, key);
-          const double v = parse_number("ref");
-          if (v != std::floor(v)) {
-            fail("\"ref\" must be an integer record index");
-          }
-          req.ref = static_cast<std::uint64_t>(v);
-        } else if (key == "spec") {
-          require_fresh(saw_spec, key);
-          req.spec = parse_string();
-          if (req.spec.empty()) fail("\"spec\" must not be empty");
-        } else if (key == "slo_ms") {
-          require_fresh(saw_slo, key);
-          req.slo_ms = parse_number("slo_ms");
-        } else if (key == "deadline_ms") {
-          require_fresh(saw_deadline, key);
-          req.deadline_ms = parse_number("deadline_ms");
-          if (*req.deadline_ms <= 0) fail("\"deadline_ms\" must be > 0");
-        } else if (key == "priority") {
-          require_fresh(saw_priority, key);
-          const std::string token = parse_string();
-          if (token == "high") {
-            req.priority = ServePriority::kHigh;
-          } else if (token == "normal") {
-            req.priority = ServePriority::kNormal;
-          } else if (token == "low") {
-            req.priority = ServePriority::kLow;
-          } else {
-            fail("unknown priority \"" + token + "\"");
-          }
-        } else if (key == "quality") {
-          require_fresh(saw_quality, key);
-          const double v = parse_number("quality");
-          if (v != std::floor(v) || v > 1000000) {
-            fail("\"quality\" must be an integer rung index <= 1000000");
-          }
-          req.quality = static_cast<std::size_t>(v);
-        } else if (key == "statsz") {
-          require_fresh(saw_statsz, key);
-          if (!try_consume("true")) fail("\"statsz\" must be true");
-          req.statsz = true;
-        } else if (key == "cancel") {
-          require_fresh(saw_cancel, key);
-          req.cancel_id = parse_string();
-          if (req.cancel_id.empty()) fail("\"cancel\" must name a request id");
-        } else {
-          fail("unknown key \"" + key + "\"");
-        }
-        skip_ws();
-        if (pos_ < s_.size() && s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        break;
-      }
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing bytes after the request");
-
-    const bool solve_fields =
-        saw_spec || saw_slo || saw_deadline || saw_priority || saw_quality;
-    if (req.statsz) {
-      if (saw_instance || saw_ref || solve_fields || saw_cancel) {
-        fail("\"statsz\" requests carry no solve or cancel fields");
-      }
-    } else if (!req.cancel_id.empty()) {
-      if (saw_instance || saw_ref || solve_fields) {
-        fail("\"cancel\" messages carry no solve fields");
-      }
-    } else if (saw_instance && saw_ref) {
-      fail("\"instance\" and \"ref\" are mutually exclusive");
-    } else if (!saw_instance && !saw_ref) {
-      fail("request needs \"instance\", \"ref\", \"statsz\", or \"cancel\"");
-    }
-    return req;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("serve request: " + what + " (at byte " +
-                             std::to_string(pos_) + ")");
-  }
-
-  void require_fresh(bool& seen, const std::string& key) {
-    if (seen) fail("duplicate key \"" + key + "\"");
-    seen = true;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool try_consume(const char* token) {
-    const std::size_t len = std::char_traits<char>::length(token);
-    if (s_.compare(pos_, len, token) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  /// Non-negative decimal: digits with an optional fraction part. Capped
-  /// at 1e9 so canonical fixed-6 printing is reparse-stable.
-  double parse_number(const char* key) {
-    const std::size_t begin = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') {
-      fail(std::string("\"") + key + "\" must be non-negative");
-    }
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) fail("expected a number");
-    if (pos_ - begin > 1 && s_[begin] == '0') fail("leading zero in number");
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      const std::size_t frac = pos_;
-      while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-      if (pos_ == frac) fail("digits required after the decimal point");
-    }
-    const double v = std::strtod(s_.substr(begin, pos_ - begin).c_str(),
-                                 nullptr);
-    if (!(v < 1e9)) fail(std::string("\"") + key + "\" out of range (< 1e9)");
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            if (h >= '0' && h <= '9') {
-              value = value * 16 + static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("malformed \\u escape");
-            }
-          }
-          if (value > 0x7f) fail("\\u escape outside ASCII");
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  /// The raw bytes of one balanced {...} object starting at the cursor
-  /// (strings skipped correctly), handed to instance_from_jsonl.
-  std::string parse_raw_object() {
-    const std::size_t begin = pos_;
-    if (pos_ >= s_.size() || s_[pos_] != '{') fail("expected an object");
-    int depth = 0;
-    bool in_string = false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (in_string) {
-        if (c == '\\') {
-          if (pos_ >= s_.size()) fail("dangling escape in instance");
-          ++pos_;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        --depth;
-        if (depth == 0) return s_.substr(begin, pos_ - begin);
-        if (depth < 0) fail("unbalanced instance object");
-      }
-    }
-    fail("unterminated instance object");
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -338,7 +94,103 @@ std::string serve_request_to_jsonl(const ServeRequest& request) {
 }
 
 ServeRequest serve_request_from_jsonl(const std::string& line) {
-  return RequestParser(line).parse();
+  enum : std::size_t {
+    kId, kInstance, kRef, kSpec, kSlo, kDeadline, kPriority, kQuality,
+    kStatsz, kCancel
+  };
+  static constexpr std::string_view kKeys[] = {
+      "id",          "instance", "ref",     "spec",   "slo_ms",
+      "deadline_ms", "priority", "quality", "statsz", "cancel"};
+  constexpr auto bit = JsonCursor::bit;
+  JsonCursor cur(line);
+  ServeRequest req;
+  try {
+    // Non-negative decimal, capped at 1e9 so canonical fixed-6 printing
+    // is reparse-stable.
+    const auto number = [&](const std::string& key) {
+      if (cur.peek() == '-') cur.fail("\"" + key + "\" must be non-negative");
+      const double v = cur.decimal();
+      if (!(v < 1e9)) cur.fail("\"" + key + "\" out of range (< 1e9)");
+      return v;
+    };
+    const std::uint64_t seen = cur.object(kKeys, [&](std::size_t key) {
+      switch (key) {
+        case kId:
+          req.id = cur.string();
+          break;
+        case kInstance:
+          req.instance = std::make_shared<Instance>(read_instance(cur));
+          break;
+        case kRef: {
+          const double v = number("ref");
+          if (v != std::floor(v)) {
+            cur.fail("\"ref\" must be an integer record index");
+          }
+          req.ref = static_cast<std::uint64_t>(v);
+          break;
+        }
+        case kSpec:
+          req.spec = cur.string();
+          if (req.spec.empty()) cur.fail("\"spec\" must not be empty");
+          break;
+        case kSlo:
+          req.slo_ms = number("slo_ms");
+          break;
+        case kDeadline:
+          req.deadline_ms = number("deadline_ms");
+          if (*req.deadline_ms <= 0) cur.fail("\"deadline_ms\" must be > 0");
+          break;
+        case kPriority: {
+          const std::string token = cur.string();
+          int p = 0;  // kHigh, kNormal, kLow
+          while (p < 3 && token != to_string(ServePriority{p})) ++p;
+          if (p == 3) cur.fail("unknown priority \"" + token + "\"");
+          req.priority = ServePriority{p};
+          break;
+        }
+        case kQuality: {
+          const double v = number("quality");
+          if (v != std::floor(v) || v > 1000000) {
+            cur.fail("\"quality\" must be an integer rung index <= 1000000");
+          }
+          req.quality = static_cast<std::size_t>(v);
+          break;
+        }
+        case kStatsz:
+          if (!cur.consume_word("true")) cur.fail("\"statsz\" must be true");
+          req.statsz = true;
+          break;
+        default:
+          req.cancel_id = cur.string();
+          if (req.cancel_id.empty()) {
+            cur.fail("\"cancel\" must name a request id");
+          }
+      }
+    });
+    cur.expect_end();
+
+    const bool source = seen & (bit(kInstance) | bit(kRef));
+    const bool solve_fields = seen & (bit(kSpec) | bit(kSlo) | bit(kDeadline) |
+                                      bit(kPriority) | bit(kQuality));
+    if (req.statsz) {
+      if (source || solve_fields || (seen & bit(kCancel))) {
+        cur.fail("\"statsz\" requests carry no solve or cancel fields");
+      }
+    } else if (!req.cancel_id.empty()) {
+      if (source || solve_fields) {
+        cur.fail("\"cancel\" messages carry no solve fields");
+      }
+    } else if (req.instance && req.ref) {
+      cur.fail("\"instance\" and \"ref\" are mutually exclusive");
+    } else if (!source) {
+      cur.fail(
+          "request needs \"instance\", \"ref\", \"statsz\", or \"cancel\"");
+    }
+  } catch (const JsonError& e) {
+    throw std::runtime_error(std::string("serve request: ") + e.what() +
+                             " (at byte " + std::to_string(e.offset()) + ")");
+  }
+  return req;
 }
 
 std::string serve_response_to_jsonl(const ServeResponse& response,

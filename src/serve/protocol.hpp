@@ -8,7 +8,8 @@
 // instead of a dropped connection, so pipelined clients can always match
 // responses to requests by count (or by the echoed "id").
 //
-// Request grammar (strict, same school as instance_from_jsonl):
+// Request grammar (common/json_cursor.hpp's rules, which the embedded
+// instance follows too: it is read in place on the request's cursor):
 //
 //   {"id":"r1","spec":"sbo:lpt,delta=1","instance":{"m":2,"tasks":[[3,1]]}}
 //   {"id":"r2","slo_ms":5,"quality":1,"priority":"high","deadline_ms":100,

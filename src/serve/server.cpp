@@ -870,6 +870,12 @@ ServeServer::ServeServer(ServeOptions options)
   if (options_.unix_path.empty() && !options_.tcp_port) {
     throw std::invalid_argument("ServeServer: no listener configured");
   }
+  if (options_.tcp_port &&
+      (*options_.tcp_port < 0 || *options_.tcp_port > 65535)) {
+    throw std::invalid_argument(
+        "ServeOptions::tcp_port must be in [0, 65535], got " +
+        std::to_string(*options_.tcp_port));
+  }
   if (options_.threads < 0) {
     throw std::invalid_argument("ServeOptions::threads must be >= 0");
   }

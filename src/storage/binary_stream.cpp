@@ -9,10 +9,9 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <streambuf>
-#include <utility>
+#include <vector>
 
 namespace storesched::storage {
 
@@ -114,22 +113,6 @@ std::shared_ptr<const Instance> BinaryInstanceSource::next() {
 
 std::optional<std::size_t> BinaryInstanceSource::size_hint() const {
   return view_->count();
-}
-
-void BinaryResultSink::consume(std::size_t index, SolveResult result) {
-  rows_.push_back({index, std::move(result)});
-}
-
-void BinaryResultSink::finish() {
-  if (finished_) throw std::logic_error("BinaryResultSink: double finish()");
-  finished_ = true;
-  const std::string blob = wire::encode_results(rows_);
-  out_.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  out_.flush();
-  if (!out_) {
-    throw StreamWriteError("BinaryResultSink: write failure (" +
-                           std::to_string(blob.size()) + " bytes)");
-  }
 }
 
 std::unique_ptr<InstanceSource> open_instance_source(std::istream& in,

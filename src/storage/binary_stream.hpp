@@ -1,7 +1,6 @@
-// Binary-container adapters for the streaming pipeline (core/stream.hpp):
+// Binary-container adapter for the streaming pipeline (core/stream.hpp):
 // an InstanceSource over a binary instance container (mmap'd file, slurped
-// stream, or shared-memory region) and a ResultSink that collects results
-// into a binary result container. Plus the --format plumbing: parsing the
+// stream, or shared-memory region). Plus the --format plumbing: parsing the
 // CLI token and sniffing which wire a stream actually carries, so
 // `storesched_cli --format auto` (the default) accepts either and a
 // mismatch dies with an error naming the detected format.
@@ -11,7 +10,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/stream.hpp"
 #include "storage/wire_format.hpp"
@@ -62,28 +60,6 @@ class BinaryInstanceSource final : public InstanceSource {
   std::unique_ptr<Buffer> buffer_;
   std::unique_ptr<wire::InstanceView> view_;
   std::size_t cursor_ = 0;
-};
-
-/// Sink that collects every result and, on finish(), writes one canonical
-/// binary result container to the stream. The container's section layout
-/// needs the full result set, so nothing is written until finish() --
-/// callers must call it exactly once after the pipeline run (the
-/// destructor deliberately does not write: a half-failed run must not
-/// leave a plausible-looking container behind).
-class BinaryResultSink final : public ResultSink {
- public:
-  explicit BinaryResultSink(std::ostream& out) : out_(out) {}
-
-  void consume(std::size_t index, SolveResult result) override;
-
-  /// Encodes and writes the container. Throws StreamWriteError if the
-  /// stream reports failure.
-  void finish();
-
- private:
-  std::ostream& out_;
-  std::vector<wire::IndexedResult> rows_;
-  bool finished_ = false;
 };
 
 /// Opens an instance source over `in` for the requested format. kAuto

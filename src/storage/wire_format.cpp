@@ -35,10 +35,6 @@ enum SectionKind : std::uint32_t {
   kSecTaskS = 3,
   kSecEdgeSrc = 4,
   kSecEdgeDst = 5,
-  kSecResultRecords = 6,
-  kSecDiagChars = 7,
-  kSecProc = 8,
-  kSecStart = 9,
 };
 
 [[noreturn]] void fail(const std::string& what) {
@@ -83,16 +79,8 @@ std::size_t element_size(std::uint32_t kind) {
     case kSecTaskS: return 8;
     case kSecEdgeSrc: return 4;
     case kSecEdgeDst: return 4;
-    case kSecResultRecords: return kResultRecordSize;
-    case kSecDiagChars: return 1;
-    case kSecProc: return 4;
-    case kSecStart: return 8;
     default: return 0;
   }
-}
-
-const char* payload_name(PayloadKind kind) {
-  return kind == PayloadKind::kInstances ? "instances" : "results";
 }
 
 /// Deep validation of one instance's edge range: self-loops, duplicate
@@ -150,7 +138,7 @@ struct Container {
 /// canonical back-to-back layout with zero padding, per-section checksums.
 /// Accepted bytes are canonical: re-encoding the decoded payload
 /// reproduces them exactly.
-Container parse_container(std::string_view bytes, PayloadKind expected,
+Container parse_container(std::string_view bytes,
                           std::span<const std::uint32_t> required_kinds) {
   if (!has_binary_wire_magic(bytes)) {
     if (!bytes.empty() && (bytes.front() == '{' || bytes.front() == ' ' ||
@@ -166,15 +154,9 @@ Container parse_container(std::string_view bytes, PayloadKind expected,
     fail("unsupported version " + std::to_string(version) + " (this build " +
          "reads version " + std::to_string(kWireVersion) + ")");
   }
-  const auto kind_raw = get<std::uint32_t>(bytes, 12);
-  if (kind_raw != static_cast<std::uint32_t>(PayloadKind::kInstances) &&
-      kind_raw != static_cast<std::uint32_t>(PayloadKind::kResults)) {
-    fail("unknown payload kind " + std::to_string(kind_raw));
-  }
-  const auto kind = static_cast<PayloadKind>(kind_raw);
-  if (kind != expected) {
-    fail(std::string("container holds ") + payload_name(kind) + ", expected " +
-         payload_name(expected));
+  const auto kind = get<std::uint32_t>(bytes, 12);
+  if (kind != static_cast<std::uint32_t>(PayloadKind::kInstances)) {
+    fail("unknown payload kind " + std::to_string(kind));
   }
   Container c;
   c.payload_count = get<std::uint64_t>(bytes, 16);
@@ -256,13 +238,13 @@ Container parse_container(std::string_view bytes, PayloadKind expected,
 }
 
 /// Emits header + section table + payload columns in canonical form.
-std::string assemble(PayloadKind kind, std::uint64_t payload_count,
+std::string assemble(std::uint64_t payload_count,
                      std::span<const std::pair<std::uint32_t, const std::string*>>
                          sections) {
   std::string out;
   out.append(kBinaryWireMagic, sizeof(kBinaryWireMagic));
   put<std::uint32_t>(out, kWireVersion);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(kind));
+  put<PayloadKind>(out, PayloadKind::kInstances);
   put<std::uint64_t>(out, payload_count);
   put<std::uint64_t>(out, 0);  // file_size, patched below
   put<std::uint32_t>(out, static_cast<std::uint32_t>(sections.size()));
@@ -292,7 +274,7 @@ std::string assemble(PayloadKind kind, std::uint64_t payload_count,
   return out;
 }
 
-// ---- result-record field plumbing (shared by container and cache blobs) --
+// ---- result-record field plumbing (the cache's payload blobs) ----
 
 constexpr std::uint32_t kResFeasible = 1u << 0;
 constexpr std::uint32_t kResSumCi = 1u << 1;
@@ -317,11 +299,9 @@ bool result_has_schedule(const SolveResult& r) {
   return r.feasible && r.schedule.n() > 0 && r.schedule.fully_assigned();
 }
 
-/// Appends the 168-byte fixed record. `diag_offset`/`proc_offset` index the
-/// shared columns (always 0 in single-result cache blobs).
-void put_result_record(std::string& out, std::uint64_t index,
-                       const SolveResult& r, std::uint64_t diag_offset,
-                       std::uint64_t proc_offset) {
+/// Appends the 168-byte fixed record. Its index and column-offset slots
+/// stay zero: they served the retired result container.
+void put_result_record(std::string& out, const SolveResult& r) {
   const bool schedule = result_has_schedule(r);
   const bool timed = schedule && r.schedule.timed();
   std::uint32_t flags = 0;
@@ -334,7 +314,7 @@ void put_result_record(std::string& out, std::uint64_t index,
   if (timed) flags |= kResTimed;
   if (schedule) flags |= kResSchedule;
 
-  put<std::uint64_t>(out, index);
+  put<std::uint64_t>(out, 0);  // index
   put<std::int64_t>(out, r.feasible ? r.objectives.cmax : 0);
   put<std::int64_t>(out, r.feasible ? r.objectives.mmax : 0);
   put<std::int64_t>(out, r.sum_ci.value_or(0));
@@ -344,40 +324,35 @@ void put_result_record(std::string& out, std::uint64_t index,
     put<std::int64_t>(out, *f ? (*f)->num() : 0);
     put<std::int64_t>(out, *f ? (*f)->den() : 0);
   }
-  put<std::uint64_t>(out, diag_offset);
+  put<std::uint64_t>(out, 0);  // diagnostics offset
   put<std::uint64_t>(out, r.diagnostics.size());
-  put<std::uint64_t>(out, proc_offset);
+  put<std::uint64_t>(out, 0);  // proc offset
   put<std::uint64_t>(out, schedule ? r.schedule.n() : 0);
   put<std::int32_t>(out, schedule ? r.schedule.m() : 0);
   put<std::uint32_t>(out, flags);
 }
 
-/// Decodes the fixed record at `at` (caller guarantees the 168 bytes).
-/// Offsets/counts come back raw for the caller's layout checks; the
-/// scalar fields are validated and written into `out.result` here.
+/// Decodes the fixed record at the start of `b` (caller guarantees the
+/// 168 bytes). Counts come back raw for the caller's layout checks; the
+/// scalar fields are validated and written into `out` here.
 struct RawResultRecord {
-  std::uint64_t index = 0;
-  std::uint64_t diag_offset = 0, diag_size = 0;
-  std::uint64_t proc_offset = 0, sched_n = 0;
+  std::uint64_t diag_size = 0;
+  std::uint64_t sched_n = 0;
   std::int32_t sched_m = 0;
   std::uint32_t flags = 0;
 };
 
-RawResultRecord get_result_record(std::string_view b, std::size_t at,
-                                  SolveResult& out) {
+RawResultRecord get_result_record(std::string_view b, SolveResult& out) {
   RawResultRecord raw;
-  raw.index = get<std::uint64_t>(b, at);
-  const auto cmax = get<std::int64_t>(b, at + 8);
-  const auto mmax = get<std::int64_t>(b, at + 16);
-  const auto sum_ci = get<std::int64_t>(b, at + 24);
-  const auto delta_num = get<std::int64_t>(b, at + 32);
-  const auto delta_den = get<std::int64_t>(b, at + 40);
-  raw.diag_offset = get<std::uint64_t>(b, at + 128);
-  raw.diag_size = get<std::uint64_t>(b, at + 136);
-  raw.proc_offset = get<std::uint64_t>(b, at + 144);
-  raw.sched_n = get<std::uint64_t>(b, at + 152);
-  raw.sched_m = get<std::int32_t>(b, at + 160);
-  raw.flags = get<std::uint32_t>(b, at + 164);
+  const auto cmax = get<std::int64_t>(b, 8);
+  const auto mmax = get<std::int64_t>(b, 16);
+  const auto sum_ci = get<std::int64_t>(b, 24);
+  const auto delta_num = get<std::int64_t>(b, 32);
+  const auto delta_den = get<std::int64_t>(b, 40);
+  raw.diag_size = get<std::uint64_t>(b, 136);
+  raw.sched_n = get<std::uint64_t>(b, 152);
+  raw.sched_m = get<std::int32_t>(b, 160);
+  raw.flags = get<std::uint32_t>(b, 164);
 
   if ((raw.flags & ~kResKnownFlags) != 0) fail("unknown result flag bits");
   const bool feasible = raw.flags & kResFeasible;
@@ -406,8 +381,8 @@ RawResultRecord get_result_record(std::string_view b, std::size_t at,
   }
   const auto fracs = optional_fractions(out);
   for (std::size_t i = 0; i < fracs.size(); ++i) {
-    const auto num = get<std::int64_t>(b, at + 48 + 16 * i);
-    const auto den = get<std::int64_t>(b, at + 56 + 16 * i);
+    const auto num = get<std::int64_t>(b, 48 + 16 * i);
+    const auto den = get<std::int64_t>(b, 56 + 16 * i);
     if (!(raw.flags & (kResFrac0 << i))) {
       if (num != 0 || den != 0) fail("nonzero absent fraction");
       continue;
@@ -416,6 +391,10 @@ RawResultRecord get_result_record(std::string_view b, std::size_t at,
     const Fraction f(num, den);
     if (f.num() != num || f.den() != den) fail("unnormalized fraction");
     *fracs[i] = f;
+  }
+  if (get<std::uint64_t>(b, 0) != 0 || get<std::uint64_t>(b, 128) != 0 ||
+      get<std::uint64_t>(b, 144) != 0) {
+    fail("result payload with column offsets");
   }
   return raw;
 }
@@ -493,18 +472,6 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return ~crc;
 }
 
-std::optional<PayloadKind> sniff_kind(std::string_view bytes) {
-  if (bytes.size() < 16 || !has_binary_wire_magic(bytes)) return std::nullopt;
-  const auto kind = get<std::uint32_t>(bytes, 12);
-  if (kind == static_cast<std::uint32_t>(PayloadKind::kInstances)) {
-    return PayloadKind::kInstances;
-  }
-  if (kind == static_cast<std::uint32_t>(PayloadKind::kResults)) {
-    return PayloadKind::kResults;
-  }
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Instances.
 // ---------------------------------------------------------------------------
@@ -545,7 +512,7 @@ std::string encode_instances(std::span<const Instance> instances) {
       {kSecEdgeSrc, &edge_src},
       {kSecEdgeDst, &edge_dst},
   }};
-  return assemble(PayloadKind::kInstances, instances.size(), sections);
+  return assemble(instances.size(), sections);
 }
 
 InstanceView::InstanceView(std::string_view bytes) {
@@ -555,8 +522,7 @@ InstanceView::InstanceView(std::string_view bytes) {
   }
   static constexpr std::uint32_t kRequired[] = {
       kSecInstanceRecords, kSecTaskP, kSecTaskS, kSecEdgeSrc, kSecEdgeDst};
-  const Container c =
-      parse_container(bytes, PayloadKind::kInstances, kRequired);
+  const Container c = parse_container(bytes, kRequired);
   const Section& records = c.sections[0];
   const Section& p = c.sections[1];
   const Section& s = c.sections[2];
@@ -710,99 +676,12 @@ std::vector<Instance> decode_instances(std::string_view bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Results.
-// ---------------------------------------------------------------------------
-
-std::string encode_results(std::span<const IndexedResult> results) {
-  std::string records, diag, proc, start;
-  std::uint64_t diag_cursor = 0, proc_cursor = 0;
-  for (const IndexedResult& row : results) {
-    const SolveResult& r = row.result;
-    put_result_record(records, row.index, r, diag_cursor, proc_cursor);
-    diag.append(r.diagnostics);
-    diag_cursor += r.diagnostics.size();
-    if (result_has_schedule(r)) {
-      for (std::size_t i = 0; i < r.schedule.n(); ++i) {
-        put<std::int32_t>(proc, r.schedule.proc(static_cast<TaskId>(i)));
-      }
-      if (r.schedule.timed()) {
-        for (std::size_t i = 0; i < r.schedule.n(); ++i) {
-          put<std::int64_t>(start, r.schedule.start(static_cast<TaskId>(i)));
-        }
-      }
-      proc_cursor += r.schedule.n();
-    }
-  }
-  const std::array<std::pair<std::uint32_t, const std::string*>, 4> sections{{
-      {kSecResultRecords, &records},
-      {kSecDiagChars, &diag},
-      {kSecProc, &proc},
-      {kSecStart, &start},
-  }};
-  return assemble(PayloadKind::kResults, results.size(), sections);
-}
-
-std::vector<IndexedResult> decode_results(std::string_view bytes) {
-  static constexpr std::uint32_t kRequired[] = {kSecResultRecords,
-                                                kSecDiagChars, kSecProc,
-                                                kSecStart};
-  const Container c = parse_container(bytes, PayloadKind::kResults, kRequired);
-  const Section& records = c.sections[0];
-  const Section& diag = c.sections[1];
-  const Section& proc = c.sections[2];
-  const Section& start = c.sections[3];
-  if (records.count != c.payload_count) {
-    fail("record count does not match payload count");
-  }
-  std::vector<IndexedResult> out;
-  out.reserve(records.count);
-  std::uint64_t diag_cursor = 0, proc_cursor = 0, start_cursor = 0;
-  for (std::uint64_t i = 0; i < records.count; ++i) {
-    const std::size_t at = records.offset + i * kResultRecordSize;
-    IndexedResult row;
-    const RawResultRecord raw = get_result_record(bytes, at, row.result);
-    row.index = raw.index;
-    if (raw.diag_offset != diag_cursor ||
-        raw.diag_size > diag.count - diag_cursor) {
-      fail("result " + std::to_string(i) + ": non-contiguous diagnostics");
-    }
-    row.result.diagnostics =
-        std::string(bytes.substr(diag.offset + raw.diag_offset,
-                                 raw.diag_size));
-    diag_cursor += raw.diag_size;
-    if (raw.proc_offset != proc_cursor ||
-        raw.sched_n > proc.count - proc_cursor) {
-      fail("result " + std::to_string(i) + ": non-contiguous schedule");
-    }
-    // Only timed schedules contribute to the start column, so its running
-    // offset is tracked separately (canonical tiling pins it -- the record
-    // carries no explicit start offset).
-    const bool timed = raw.flags & kResTimed;
-    if (timed && raw.sched_n > start.count - start_cursor) {
-      fail("result " + std::to_string(i) + ": start range overruns column");
-    }
-    apply_schedule(
-        row.result, raw,
-        bytes.substr(proc.offset + raw.proc_offset * 4, raw.sched_n * 4),
-        timed ? bytes.substr(start.offset + start_cursor * 8, raw.sched_n * 8)
-              : std::string_view{});
-    proc_cursor += raw.sched_n;
-    if (timed) start_cursor += raw.sched_n;
-    out.push_back(std::move(row));
-  }
-  if (diag_cursor != diag.count) fail("diagnostics column longer than records");
-  if (proc_cursor != proc.count) fail("proc column longer than the records");
-  if (start_cursor != start.count) fail("start column longer than the records");
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Single-result payload blobs (the cache's slot format).
 // ---------------------------------------------------------------------------
 
 std::string encode_result_payload(const SolveResult& result) {
   std::string out;
-  put_result_record(out, 0, result, 0, 0);
+  put_result_record(out, result);
   out.append(result.diagnostics);
   pad_to_8(out);
   if (result_has_schedule(result)) {
@@ -822,10 +701,7 @@ std::string encode_result_payload(const SolveResult& result) {
 SolveResult decode_result_payload(std::string_view bytes) {
   if (bytes.size() < kResultRecordSize) fail("truncated result payload");
   SolveResult result;
-  const RawResultRecord raw = get_result_record(bytes, 0, result);
-  if (raw.index != 0 || raw.diag_offset != 0 || raw.proc_offset != 0) {
-    fail("result payload with column offsets");
-  }
+  const RawResultRecord raw = get_result_record(bytes, result);
   // Bound the raw counts before any size arithmetic or allocation: a
   // hostile blob must fail here, not in an allocator.
   if (raw.diag_size > bytes.size() || raw.sched_n > bytes.size()) {

@@ -21,24 +21,24 @@
 // into the edge columns) over shared i64 p / i64 s / i32 edge-endpoint
 // arrays. DAG edges are stored source-sorted per instance -- the CSR order
 // DagFrontierView uses -- so rebuilding adjacency is a linear append.
-// Result files are the same container with kind=results: fixed-width
-// ResultRecords over diagnostics-char / proc / start columns, carrying every
-// field a JSONL result line can (encode_result/decode_result round-trip
-// through result_to_jsonl() byte-identically). The result cache
-// (storage/result_cache.hpp) stores exactly these record payloads.
+// Results travel as single-result payload blobs: a fixed-width record plus
+// diagnostics / proc / start bytes, carrying every field a JSONL result
+// line can (encode/decode_result_payload round-trip through
+// result_to_jsonl() byte-identically). The result cache
+// (storage/result_cache.hpp) stores exactly these payloads.
 //
-// Reader contract (the fuzz oracle's): decode_instances()/decode_results()
-// either return the parsed payload or throw std::runtime_error naming the
-// offense -- bad magic, version skew, truncation, misaligned or overlapping
-// sections, checksum mismatch, counts that do not add up, weights or edges
-// the Instance/Dag constructors reject. A hostile file is an error, never
+// Reader contract (the fuzz oracle's): decode_instances() and
+// decode_result_payload() either return the parsed payload or throw
+// std::runtime_error naming the offense -- bad magic, version skew,
+// truncation, misaligned or overlapping sections, checksum mismatch,
+// counts that do not add up, weights or edges the Instance/Dag
+// constructors reject. A hostile file is an error, never
 // UB: every offset and count is bounds-checked against the buffer before it
 // is dereferenced, and all arithmetic is overflow-checked. Writers always
 // produce canonical bytes: encode(decode(encode(x))) == encode(x).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -54,8 +54,9 @@ namespace storesched::wire {
 /// the evolution rules a version bump must follow).
 inline constexpr std::uint32_t kWireVersion = 1;
 
-/// What a container's payload is.
-enum class PayloadKind : std::uint32_t { kInstances = 1, kResults = 2 };
+/// What a container's payload is. Kind 2 (result rows) is retired;
+/// readers reject it as an unknown kind.
+enum class PayloadKind : std::uint32_t { kInstances = 1 };
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range. Exposed for tests and
 /// the shm store's publish-time integrity stamp.
@@ -69,32 +70,12 @@ std::uint32_t crc32(const void* data, std::size_t size,
 /// Serializes instances into one canonical binary container.
 std::string encode_instances(std::span<const Instance> instances);
 
-/// One decoded result row: the record index solve_stream assigned plus the
-/// reconstructed result (extras channels excluded -- the binary wire, like
-/// the JSONL wire, carries the common fields and the schedule only).
-struct IndexedResult {
-  std::uint64_t index = 0;
-  SolveResult result;
-};
-
-/// Serializes result rows into one canonical binary container. Schedules
-/// ride along whenever present (include_schedule shaping is a JSONL
-/// rendering decision, not a storage one).
-std::string encode_results(std::span<const IndexedResult> results);
-
 // ---------------------------------------------------------------------------
 // Decoding (strict: std::runtime_error on any malformed byte).
 // ---------------------------------------------------------------------------
 
-/// Payload kind of a well-formed header, or nullopt when `bytes` does not
-/// even start with the magic (format sniffing; never throws).
-std::optional<PayloadKind> sniff_kind(std::string_view bytes);
-
 /// Parses a whole instance container into owned Instances.
 std::vector<Instance> decode_instances(std::string_view bytes);
-
-/// Parses a whole result container.
-std::vector<IndexedResult> decode_results(std::string_view bytes);
 
 /// Zero-copy random-access view over an instance container sitting in an
 /// mmap'd file or a shared-memory region. Construction validates the whole
@@ -143,7 +124,6 @@ class InstanceView {
 // ---------------------------------------------------------------------------
 
 /// Serializes one result as a self-contained little-endian blob -- the
-/// per-record unit the result container sections are built from and the
 /// exact payload storage/result_cache.hpp stores per slot. Fails (returns
 /// an empty string) only when the result cannot be represented: the wire
 /// carries i64 fields, so nothing a solver produces is rejected today.

@@ -174,6 +174,8 @@ TEST(FuzzRegression, RejectionsAreAlwaysRuntimeErrors) {
       R"({"m":2,"tasks":[[1,1]],"bogus":3})",         // reject_unknown_key
       R"({"m":2,"tasks":[[1,1]]} trailing)",          // reject_trailing
       R"(not json at all)",                           // reject_not_json
+      R"({"m":1,"tasks":[[1,1]],"m":2})",             // reject_repeated_key
+      R"({"m":2,"tasks":[[01,1]]})",                  // reject_leading_zero
   };
   for (const char* line : rejects) {
     EXPECT_THROW(instance_from_jsonl(line, 1), std::runtime_error) << line;

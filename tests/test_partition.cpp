@@ -13,6 +13,42 @@ namespace {
 
 using testing::brute_force_partition;
 
+/// The labelled m^n enumeration brute_force_partition's walk replaced:
+/// every assignment of items to processors, loads summed at each leaf.
+std::int64_t labelled_enumeration(std::span<const std::int64_t> w, int m) {
+  const std::size_t n = w.size();
+  std::int64_t best = 0;
+  for (const std::int64_t v : w) best += v;
+  std::vector<int> choice(n, 0);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(m));
+  while (true) {
+    std::fill(load.begin(), load.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      load[static_cast<std::size_t>(choice[i])] += w[i];
+    }
+    std::int64_t mx = 0;
+    for (const std::int64_t l : load) mx = std::max(mx, l);
+    best = std::min(best, mx);
+    // Odometer increment.
+    std::size_t pos = 0;
+    while (pos < n && ++choice[pos] == m) choice[pos++] = 0;
+    if (pos == n) break;
+  }
+  return best;
+}
+
+TEST(BruteForce, PartitionWalkMatchesLabelledEnumeration) {
+  Rng rng(20);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 5));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 8));
+    std::vector<std::int64_t> w(n);
+    for (auto& v : w) v = rng.uniform_int(0, 30);  // zero weights included
+    EXPECT_EQ(brute_force_partition(w, m), labelled_enumeration(w, m))
+        << "trial " << trial;
+  }
+}
+
 TEST(PartitionBounds, LowerBoundFormulas) {
   const std::vector<std::int64_t> w{5, 3, 3, 3};
   EXPECT_EQ(partition_lower_bound(w, 2), 7);  // ceil(14/2)

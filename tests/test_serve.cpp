@@ -252,6 +252,18 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   reject(R"({"ref":0,"instance":{"m":1,"tasks":[[1,1]]}})");  // both sources
   reject(R"({"ref":1.5})");                      // fractional record index
   reject(R"({"statsz":true,"ref":0})");          // statsz + solve field
+  // The embedded instance follows the same rules as the request around it.
+  reject(R"({"instance":{"m":1,"tasks":[[1,1]],"m":2}})");  // repeated key
+  reject(R"({"instance":{"m":1,"tasks":[[1,01]]}})");       // leading zero
+  reject(R"({"i\u0064":"a","instance":{"m":1,"tasks":[[1,1]]}})");  // escape
+  // A syntax error inside the instance is a request error whose offset
+  // counts from the start of the line, not of the embedded object.
+  try {
+    serve_request_from_jsonl(R"({"id":"a","instance":{"m":1,"tasks":[[1,x]]}})");
+    ADD_FAILURE() << "embedded syntax error accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "serve request: expected a number (at byte 40)");
+  }
 }
 
 TEST(ServeProtocol, ResponseLinesCarryRoutingAndResultFields) {
@@ -903,6 +915,16 @@ TEST_F(ServeServerTest, TcpListenerRoundTripsOnAnEphemeralPort) {
   EXPECT_TRUE(contains(inbox, R"("feasible":true)")) << inbox;
   ::close(fd);
   server.shutdown();
+}
+
+TEST(ServeServer, RejectsTcpPortsOutsideTheSixteenBitRange) {
+  // htons() would wrap these: 70000 used to listen on port 4464.
+  for (const int port : {-1, 65536, 70000}) {
+    ServeOptions options;
+    options.tcp_port = port;
+    options.ladder = {"graham:lpt"};
+    EXPECT_THROW(ServeServer server(options), std::invalid_argument) << port;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "common/failpoint.hpp"
 #include "common/generators.hpp"
 #include "common/io.hpp"
+#include "common/json_cursor.hpp"
 #include "common/rng.hpp"
 #include "core/journal.hpp"
 #include "core/solver.hpp"
@@ -531,6 +532,28 @@ TEST(Jsonl, ParseErrorsCarryTheStreamLineNumber) {
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).find("line "), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(JsonCursor, SkipsUnknownValuesOfAnyKindAndBoundsTheirNesting) {
+  // The skip path --check takes over the keys it does not read.
+  static constexpr std::string_view kKeys[] = {"a"};
+  JsonCursor cur(
+      R"({"x":{"y":[1,-2.5,"s\n",true,false,null,{},[]]},"a":7,"z":{}})");
+  std::int64_t a = 0;
+  const std::uint64_t seen = cur.object(
+      kKeys, [&](std::size_t) { a = cur.integer(); }, /*skip_unknown=*/true);
+  cur.expect_end();
+  EXPECT_EQ(seen, JsonCursor::bit(0));
+  EXPECT_EQ(a, 7);
+  // Skipped values still parse, and a hostile nesting depth is an error,
+  // not a stack overflow.
+  for (const std::string& line :
+       {std::string(R"({"x":[1,01]})"), std::string(R"({"x":tru})"),
+        R"({"x":)" + std::string(100000, '[')}) {
+    JsonCursor bad(line);
+    EXPECT_THROW(bad.object(kKeys, [](std::size_t) {}, true), JsonError)
+        << line.substr(0, 20);
   }
 }
 

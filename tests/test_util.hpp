@@ -1,6 +1,7 @@
 // Shared helpers for the storesched test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,26 +36,29 @@ inline std::vector<std::int64_t> s_weights(const Instance& inst) {
 }
 
 /// Exhaustive optimum of the min-max-subset-sum problem (reference
-/// implementation for cross-checking the real algorithms; m^n work).
+/// implementation for cross-checking the real algorithms). Relabeling
+/// processors does not change the max load, so item i goes to a processor
+/// already in use or to the first unused one: the walk visits every
+/// partition of the items into at most m blocks once, with running loads,
+/// instead of all m^n labelled assignments.
 inline std::int64_t brute_force_partition(std::span<const std::int64_t> w,
                                           int m) {
-  const std::size_t n = w.size();
+  std::vector<std::int64_t> load(static_cast<std::size_t>(m), 0);
   std::int64_t best = 0;
   for (const std::int64_t v : w) best += v;  // everything on one processor
-  std::vector<int> choice(n, 0);
-  while (true) {
-    std::vector<std::int64_t> load(static_cast<std::size_t>(m), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      load[static_cast<std::size_t>(choice[i])] += w[i];
+  const auto walk = [&](auto&& self, std::size_t i, std::size_t used,
+                        std::int64_t peak) -> void {
+    if (i == w.size()) {
+      best = std::min(best, peak);
+      return;
     }
-    std::int64_t mx = 0;
-    for (const std::int64_t l : load) mx = std::max(mx, l);
-    best = std::min(best, mx);
-    // Odometer increment.
-    std::size_t pos = 0;
-    while (pos < n && ++choice[pos] == m) choice[pos++] = 0;
-    if (pos == n) break;
-  }
+    for (std::size_t q = 0; q < std::min(used + 1, load.size()); ++q) {
+      load[q] += w[i];
+      self(self, i + 1, std::max(used, q + 1), std::max(peak, load[q]));
+      load[q] -= w[i];
+    }
+  };
+  walk(walk, 0, 0, 0);
   return best;
 }
 

@@ -91,16 +91,6 @@ TEST(WireFormatInstances, ViewExposesColumnsWithoutMaterializing) {
   }
 }
 
-TEST(WireFormat, SniffsPayloadKind) {
-  EXPECT_EQ(wire::sniff_kind(wire::encode_instances({})),
-            wire::PayloadKind::kInstances);
-  EXPECT_EQ(wire::sniff_kind(wire::encode_results({})),
-            wire::PayloadKind::kResults);
-  EXPECT_EQ(wire::sniff_kind("{\"m\":1,\"tasks\":[[1,1]]}"), std::nullopt);
-  EXPECT_EQ(wire::sniff_kind(""), std::nullopt);
-  EXPECT_EQ(wire::sniff_kind("STSCHDB"), std::nullopt);
-}
-
 TEST(WireFormat, JsonlParserNamesTheBinaryWireOnMixup) {
   const std::string blob = wire::encode_instances(family_instances());
   try {
@@ -122,10 +112,21 @@ TEST(WireFormat, BinaryReaderNamesJsonlOnMixup) {
 }
 
 TEST(WireFormat, RejectsKindConfusion) {
-  const std::string instances = wire::encode_instances(family_instances());
-  EXPECT_THROW(wire::decode_results(instances), std::runtime_error);
-  const std::string results = wire::encode_results({});
-  EXPECT_THROW(wire::decode_instances(results), std::runtime_error);
+  // An instance container stamped kind 2 (the retired result container)
+  // under a valid header checksum: the kind check is what rejects it.
+  std::string blob = wire::encode_instances(family_instances());
+  const std::uint32_t kind = 2;
+  std::memcpy(blob.data() + 12, &kind, sizeof kind);
+  const std::uint32_t header_crc = wire::crc32(blob.data(), 36);
+  std::memcpy(blob.data() + 36, &header_crc, sizeof header_crc);
+  try {
+    wire::decode_instances(blob);
+    FAIL() << "kind 2 accepted as an instance container";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown payload kind 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WireFormatHostile, EveryTruncationIsAnError) {
@@ -172,83 +173,62 @@ TEST(WireFormatHostile, RejectsVersionSkew) {
 // Results.
 // ---------------------------------------------------------------------------
 
-/// Result rows exercising every optional field combination the wire can
+/// Results exercising every optional field combination the wire can
 /// carry: infeasible, assignment-only, timed, bounds present and absent,
 /// diagnostics with JSON-hostile characters.
-std::vector<wire::IndexedResult> sample_results() {
-  std::vector<wire::IndexedResult> rows;
+std::vector<SolveResult> sample_results() {
+  std::vector<SolveResult> rows;
   {
-    wire::IndexedResult row;
-    row.index = 0;
-    row.result.feasible = false;
-    row.result.delta = Fraction(3, 2);
-    row.result.diagnostics = "infeasible: capacity 5 < max_s 9\n\"quoted\"";
-    rows.push_back(row);
+    SolveResult result;
+    result.feasible = false;
+    result.delta = Fraction(3, 2);
+    result.diagnostics = "infeasible: capacity 5 < max_s 9\n\"quoted\"";
+    rows.push_back(result);
   }
   {
-    wire::IndexedResult row;
-    row.index = 2;
-    row.result.feasible = true;
+    SolveResult result;
+    result.feasible = true;
     Schedule sched(3, 2);
     sched.assign(0, 0);
     sched.assign(1, 1);
     sched.assign(2, 0);
-    row.result.schedule = sched;
-    row.result.objectives = {10, 7};
-    row.result.cmax_bound = Fraction(21, 2);
-    row.result.cmax_ratio = Fraction(4, 3);
-    rows.push_back(row);
+    result.schedule = sched;
+    result.objectives = {10, 7};
+    result.cmax_bound = Fraction(21, 2);
+    result.cmax_ratio = Fraction(4, 3);
+    rows.push_back(result);
   }
   {
-    wire::IndexedResult row;
-    row.index = 7;
-    row.result.feasible = true;
+    SolveResult result;
+    result.feasible = true;
     Schedule sched(2, 4);
     sched.assign(0, 3, 0);
     sched.assign(1, 0, 5);
-    row.result.schedule = sched;
-    row.result.objectives = {9, 4};
-    row.result.sum_ci = 14;
-    row.result.delta = Fraction(1);
-    row.result.mmax_bound = Fraction(8);
-    row.result.mmax_ratio = Fraction(2);
-    row.result.sumci_ratio = Fraction(3, 2);
-    rows.push_back(row);
+    result.schedule = sched;
+    result.objectives = {9, 4};
+    result.sum_ci = 14;
+    result.delta = Fraction(1);
+    result.mmax_bound = Fraction(8);
+    result.mmax_ratio = Fraction(2);
+    result.sumci_ratio = Fraction(3, 2);
+    rows.push_back(result);
   }
   return rows;
 }
 
-std::string jsonl_of(const std::vector<wire::IndexedResult>& rows) {
-  std::string text;
-  for (const auto& row : rows) {
-    text += result_to_jsonl(row.index, row.result, {.include_schedule = true});
-    text += '\n';
-  }
-  return text;
-}
-
-TEST(WireFormatResults, RoundTripsByteIdenticallyThroughJsonlRendering) {
-  const std::vector<wire::IndexedResult> original = sample_results();
-  const std::string blob = wire::encode_results(original);
-  const std::vector<wire::IndexedResult> decoded = wire::decode_results(blob);
-  ASSERT_EQ(decoded.size(), original.size());
-  EXPECT_EQ(jsonl_of(decoded), jsonl_of(original));
-  EXPECT_EQ(wire::encode_results(decoded), blob);
-}
-
 TEST(WireFormatResults, PayloadBlobRoundTripsEveryRow) {
-  for (const auto& row : sample_results()) {
-    const std::string payload = wire::encode_result_payload(row.result);
+  for (const SolveResult& result : sample_results()) {
+    const std::string payload = wire::encode_result_payload(result);
     const SolveResult back = wire::decode_result_payload(payload);
     EXPECT_EQ(result_to_jsonl(1, back, {.include_schedule = true}),
-              result_to_jsonl(1, row.result, {.include_schedule = true}));
+              result_to_jsonl(1, result, {.include_schedule = true}));
     EXPECT_EQ(wire::encode_result_payload(back), payload);
   }
 }
 
 TEST(WireFormatResults, HostilePayloadBlobIsAnError) {
   const std::string payload =
-      wire::encode_result_payload(sample_results()[2].result);
+      wire::encode_result_payload(sample_results()[2]);
   for (std::size_t len = 0; len < payload.size(); ++len) {
     EXPECT_THROW(wire::decode_result_payload(payload.substr(0, len)),
                  std::runtime_error);

@@ -1,7 +1,8 @@
 // Fuzz target for the wire formats -- the parsing surfaces a serving tier
-// exposes to untrusted bytes: the JSONL wires (common/io.hpp,
-// core/stream.hpp, serve/protocol.hpp) and the binary container
-// (storage/wire_format.hpp).
+// exposes to untrusted bytes: three JSONL readers on the one JSON cursor
+// (common/json_cursor.hpp) -- instance lines (common/io.hpp), stream error
+// records (core/stream.hpp) and serve requests (serve/protocol.hpp) --
+// and the binary wire (storage/wire_format.hpp).
 //
 // Contract under fuzzing:
 //   * instance_from_jsonl() either returns a valid Instance or throws
@@ -11,15 +12,16 @@
 //     to an equal instance and is a serialization fixpoint.
 //   * Small accepted instances also solve + serialize through
 //     result_to_jsonl() without throwing (the full service line path).
-//   * serve_request_from_jsonl() (serve/protocol.hpp, the storesched_serve
-//     request line) holds the same reject-or-fixpoint contract.
+//   * stream_error_from_jsonl() and serve_request_from_jsonl() (the
+//     storesched_serve request line, embedded instance included) hold the
+//     same reject-or-fixpoint contract.
 //   * The binary wire holds it too, byte-for-byte: decode_instances() /
-//     decode_results() / decode_result_payload() either parse or throw
-//     std::runtime_error (truncations, bit flips, hostile section tables
-//     are errors, never UB), accepted payloads are a
-//     decode -> encode -> decode fixpoint, and the zero-copy InstanceView
-//     (the mmap/shm read path) accepts exactly what decode_instances()
-//     accepts and materializes equal instances.
+//     decode_result_payload() either parse or throw std::runtime_error
+//     (truncations, bit flips, hostile section tables are errors, never
+//     UB), accepted payloads are a decode -> encode -> decode fixpoint,
+//     and the zero-copy InstanceView (the mmap/shm read path) accepts
+//     exactly what decode_instances() accepts and materializes equal
+//     instances.
 //
 // Two build modes (CMakeLists.txt):
 //   * libFuzzer (-DSTORESCHED_LIBFUZZER=ON, Clang): the CI fuzz job runs a
@@ -141,33 +143,6 @@ void fuzz_binary(const std::string& line) {
     } catch (const std::exception& e) {
       die("binary instance re-encode of an accepted container", e);
     }
-  }
-
-  // Result containers: same fixpoint, compared through the JSONL surface
-  // (the equality every downstream consumer sees).
-  try {
-    const std::vector<storesched::wire::IndexedResult> results =
-        storesched::wire::decode_results(bytes);
-    const std::string canon = storesched::wire::encode_results(results);
-    const std::vector<storesched::wire::IndexedResult> back =
-        storesched::wire::decode_results(canon);
-    bool equal = back.size() == results.size();
-    for (std::size_t i = 0; equal && i < back.size(); ++i) {
-      equal = back[i].index == results[i].index &&
-              storesched::result_to_jsonl(0, back[i].result,
-                                          {.include_schedule = true}) ==
-                  storesched::result_to_jsonl(0, results[i].result,
-                                              {.include_schedule = true});
-    }
-    if (!equal || storesched::wire::encode_results(back) != canon) {
-      std::fprintf(stderr,
-                   "fuzz_jsonl: binary result container not a fixpoint\n");
-      std::abort();
-    }
-  } catch (const std::runtime_error&) {
-    // rejection is the expected outcome for hostile bytes
-  } catch (const std::exception& e) {
-    die("binary result decode (only std::runtime_error is allowed)", e);
   }
 
   // Bare result-payload blobs (the result cache's slot format).

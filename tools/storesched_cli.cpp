@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_cursor.hpp"
 #include "storesched.hpp"
 
 namespace {
@@ -573,18 +574,10 @@ int run_solve(const CliOptions& cli, std::istream& in, std::ostream& out) {
   return exit_code_for(stats);
 }
 
-/// Scans a result JSONL line for "key":<integer>. Returns nullopt when the
-/// key is absent (e.g. cmax on an infeasible line).
-std::optional<std::int64_t> scan_int_field(const std::string& line,
-                                           const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  return std::stoll(line.substr(at + needle.size()));
-}
-
 int run_check(const CliOptions& cli, std::istream& in) {
   // Expected objectives, keyed by index (shards may emit out of order).
+  // A line is a result line or a serve response re-keyed by index: the
+  // keys below are read and any other key's value is skipped.
   std::ifstream expect(cli.expect_path);
   if (!expect) {
     throw std::runtime_error("cannot read --expect=" + cli.expect_path);
@@ -594,27 +587,45 @@ int run_check(const CliOptions& cli, std::istream& in) {
     std::int64_t cmax = 0;
     std::int64_t mmax = 0;
   };
+  enum : std::size_t { kIndex, kFeasible, kCmax, kMmax };
+  static constexpr std::string_view kKeys[] = {"index", "feasible", "cmax",
+                                               "mmax"};
   std::vector<std::optional<Expected>> expected;
   std::string line;
-  while (std::getline(expect, line)) {
+  for (std::size_t line_number = 1; std::getline(expect, line);
+       ++line_number) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const std::optional<std::int64_t> index = scan_int_field(line, "index");
-    if (!index || *index < 0) {
-      throw std::runtime_error("--expect line without an index: " + line);
-    }
+    JsonCursor cur(line);
+    std::size_t i = 0;
     Expected e;
-    e.feasible = line.find("\"feasible\":true") != std::string::npos;
-    if (e.feasible) {
-      const auto cmax = scan_int_field(line, "cmax");
-      const auto mmax = scan_int_field(line, "mmax");
-      if (!cmax || !mmax) {
-        throw std::runtime_error("--expect feasible line without objectives: " +
-                                 line);
+    try {
+      const auto value = [&](std::size_t key) {
+        if (key == kIndex) {
+          i = cur.unsigned_integer();
+          // `expected` grows to i + 1 slots, which must not wrap.
+          if (i >= expected.max_size()) cur.fail("\"index\" out of range");
+        } else if (key == kFeasible) {
+          e.feasible = cur.consume_word("true");
+          if (!e.feasible && !cur.consume_word("false")) {
+            cur.fail("\"feasible\" must be true or false");
+          }
+        } else {
+          (key == kCmax ? e.cmax : e.mmax) = cur.integer();
+        }
+      };
+      const std::uint64_t seen =
+          cur.object(kKeys, value, /*skip_unknown=*/true);
+      cur.expect_end();
+      std::uint64_t required = JsonCursor::bit(kIndex);
+      if (e.feasible) {
+        required |= JsonCursor::bit(kCmax) | JsonCursor::bit(kMmax);
       }
-      e.cmax = *cmax;
-      e.mmax = *mmax;
+      cur.require(seen, required, kKeys);
+    } catch (const JsonError& err) {
+      throw std::runtime_error("--expect line " + std::to_string(line_number) +
+                               ": " + err.what() + " (at byte " +
+                               std::to_string(err.offset()) + ")");
     }
-    const auto i = static_cast<std::size_t>(*index);
     if (i >= expected.size()) expected.resize(i + 1);
     if (expected[i]) {
       throw std::runtime_error("--expect has two lines for index " +

@@ -21,6 +21,7 @@
 
 #include <arpa/inet.h>
 
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -74,8 +75,12 @@ ClientCli parse_cli(int argc, char** argv) {
     } else if (arg.rfind("--unix=", 0) == 0) {
       cli.unix_path = value_of("--unix=");
     } else if (arg.rfind("--tcp=", 0) == 0) {
-      cli.tcp_port =
-          static_cast<int>(parse_count_flag(arg, value_of("--tcp=")));
+      const std::int64_t port = parse_count_flag(arg, value_of("--tcp="));
+      if (port < 1 || port > 65535) {
+        throw std::runtime_error("--tcp must be in [1, 65535], got " +
+                                 value_of("--tcp="));
+      }
+      cli.tcp_port = static_cast<int>(port);
     } else if (arg.rfind("--host=", 0) == 0) {
       cli.tcp_host = value_of("--host=");
     } else if (arg.rfind("--window=", 0) == 0) {

@@ -16,9 +16,11 @@
 //
 // Exit status: 0 clean drain, 1 runtime failure (bad spec, bind error), 2
 // usage errors.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -111,8 +113,11 @@ ServeCli parse_cli(int argc, char** argv) {
     } else if (arg.rfind("--unix=", 0) == 0) {
       cli.options.unix_path = value_of("--unix=");
     } else if (arg.rfind("--tcp=", 0) == 0) {
-      cli.options.tcp_port =
-          static_cast<int>(parse_count_flag(arg, value_of("--tcp=")));
+      // Saturated, so ServeServer's range check sees an oversized port
+      // rather than its value wrapped into int.
+      cli.options.tcp_port = static_cast<int>(
+          std::min<std::int64_t>(parse_count_flag(arg, value_of("--tcp=")),
+                                 std::numeric_limits<int>::max()));
     } else if (arg.rfind("--host=", 0) == 0) {
       cli.options.tcp_host = value_of("--host=");
     } else if (arg.rfind("--router=", 0) == 0) {
