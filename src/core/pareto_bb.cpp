@@ -1,9 +1,9 @@
 #include "core/pareto_bb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "algorithms/partition.hpp"
@@ -76,8 +76,14 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 std::int64_t fluid_bound(std::vector<std::int64_t>& scratch,
                          std::span<const std::int64_t> load,
                          std::int64_t remaining) {
-  scratch.assign(load.begin(), load.end());
-  std::sort(scratch.begin(), scratch.end());
+  // Insertion sort while copying: m is small, and below 16 elements this
+  // is the algorithm std::sort runs anyway.
+  scratch.resize(load.size());
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    std::size_t j = i;
+    for (; j > 0 && scratch[j - 1] > load[i]; --j) scratch[j] = scratch[j - 1];
+    scratch[j] = load[i];
+  }
   const std::int64_t maxl = scratch.back();
   if (remaining == 0) return maxl;
   const int m = static_cast<int>(scratch.size());
@@ -96,6 +102,31 @@ std::int64_t fluid_bound(std::vector<std::int64_t>& scratch,
   return maxl;  // unreachable: k == m always returns
 }
 
+/// Child order of a search node: processors 0..reach-1 by ascending
+/// normalized peak max((load + p) * m_ref, (mem + s) * c_ref) once `t` is
+/// placed, ties by index. Each key is computed once; the insertion sort is
+/// stable over the index order, so ties keep the lower index first.
+void order_children(const Task& t, int reach,
+                    std::span<const std::int64_t> load,
+                    std::span<const std::int64_t> mem, std::int64_t c_ref,
+                    std::int64_t m_ref, std::vector<Int128>& keys,
+                    std::vector<ProcId>& cand) {
+  keys.resize(static_cast<std::size_t>(reach));
+  cand.resize(static_cast<std::size_t>(reach));
+  for (ProcId q = 0; q < reach; ++q) {
+    const auto uq = static_cast<std::size_t>(q);
+    const Int128 key = std::max(static_cast<Int128>(load[uq] + t.p) * m_ref,
+                                static_cast<Int128>(mem[uq] + t.s) * c_ref);
+    std::size_t j = uq;
+    for (; j > 0 && keys[j - 1] > key; --j) {
+      keys[j] = keys[j - 1];
+      cand[j] = cand[j - 1];
+    }
+    keys[j] = key;
+    cand[j] = q;
+  }
+}
+
 struct BbState {
   const Instance* inst = nullptr;
   std::uint64_t limit = 0;
@@ -107,7 +138,7 @@ struct BbState {
   std::int64_t c_ref = 1;  // axis normalizers for the child ordering
   std::int64_t m_ref = 1;  // (the optima when known, Graham bounds else)
 
-  std::vector<TaskId> order;       // tasks by non-increasing normalized weight
+  std::vector<TaskId> order;       // search order (see enumerate_pareto_bb)
   std::vector<Time> suffix_max_p;  // over order[idx..], size n + 1
   std::vector<Mem> suffix_max_s;
   std::vector<std::int64_t> suffix_max_ps;  // max p + s over the suffix
@@ -120,6 +151,7 @@ struct BbState {
   std::vector<std::int64_t> scratch_p;
   std::vector<std::int64_t> scratch_s;
   std::vector<std::int64_t> scratch_c;
+  std::vector<Int128> keys;                   // child-order scratch
   std::vector<ProcId> assign;                 // by task id
   std::vector<std::vector<ProcId>> children;  // per-depth candidate buffers
   FrontStaircase front;
@@ -165,26 +197,12 @@ struct BbState {
 
     const Task& t = inst->task(order[idx]);
     // Symmetry breaking: any non-empty processor or the first empty one.
-    const int reach = std::min(used + 1, m);
-    std::vector<ProcId>& cand = children[idx];
-    cand.resize(static_cast<std::size_t>(reach));
-    std::iota(cand.begin(), cand.end(), ProcId{0});
     // Smallest normalized peak first: DFS dives toward doubly-balanced
     // completions, which is what hands the dominance prune incumbents
     // early (single-point fronts are found, not stumbled upon).
-    const auto child_key = [&](ProcId q) {
-      return std::max(
-          static_cast<Int128>(load[static_cast<std::size_t>(q)] + t.p) *
-              m_ref,
-          static_cast<Int128>(mem[static_cast<std::size_t>(q)] + t.s) *
-              c_ref);
-    };
-    std::sort(cand.begin(), cand.end(), [&](ProcId a, ProcId b) {
-      const Int128 ka = child_key(a);
-      const Int128 kb = child_key(b);
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
+    std::vector<ProcId>& cand = children[idx];
+    order_children(t, std::min(used + 1, m), load, mem, c_ref, m_ref, keys,
+                   cand);
     for (const ProcId q : cand) {
       assign[static_cast<std::size_t>(order[idx])] = q;
       load[static_cast<std::size_t>(q)] += t.p;
@@ -337,98 +355,101 @@ void polish_assignment(const Instance& inst, std::int64_t c_ref,
 /// collapses to the doubly-balanced point (C*, M*) the tree search
 /// degenerates into blind satisfiability -- millions of nodes hunting one
 /// assignment -- while a few hundred polished dives usually hit it
-/// outright and let the root prune instead.
-void dive_seeds(const Instance& inst, std::int64_t c_ref, std::int64_t m_ref,
-                int max_trials, FrontStaircase& front) {
-  const std::size_t n = inst.n();
-  const int m = inst.m();
-  if (n == 0 || c_ref <= 0 || m_ref <= 0 || max_trials <= 0) return;
-  Rng rng(0xd1fe5eed);  // fixed seed: enumeration stays deterministic
-  std::vector<TaskId> order(n);
-  std::iota(order.begin(), order.end(), TaskId{0});
-  std::vector<std::int64_t> load(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> mem(static_cast<std::size_t>(m));
-  std::vector<ProcId> assign(n);
+/// outright and let the root prune instead. Resumable, so the capped probe
+/// can pace it: each run() continues one fixed-seed trial sequence.
+class DiveHunt {
+ public:
+  DiveHunt(const Instance& inst, std::int64_t c_ref, std::int64_t m_ref,
+           std::uint64_t max_trials, FrontStaircase& front)
+      : inst_(&inst), front_(&front), c_ref_(c_ref), m_ref_(m_ref),
+        max_trials_(max_trials), order_(inst.n()), assign_(inst.n()) {
+    std::iota(order_.begin(), order_.end(), TaskId{0});
+  }
 
-  const auto rebuild_loads = [&] {
-    std::fill(load.begin(), load.end(), 0);
-    std::fill(mem.begin(), mem.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Task& t = inst.task(static_cast<TaskId>(i));
-      load[static_cast<std::size_t>(assign[i])] += t.p;
-      mem[static_cast<std::size_t>(assign[i])] += t.s;
-    }
-  };
-  const auto peak_key = [&] {
-    Int128 worst = 0;
-    for (int q = 0; q < m; ++q) {
-      worst = std::max(
-          worst,
-          std::max(static_cast<Int128>(load[static_cast<std::size_t>(q)]) *
-                       m_ref,
-                   static_cast<Int128>(mem[static_cast<std::size_t>(q)]) *
-                       c_ref));
-    }
-    return worst;
-  };
+  /// True once a trial has reached the doubly-balanced target: every
+  /// normalized peak at its floor.
+  bool hit() const {
+    return trials_ > 0 && best_key_ <= static_cast<Int128>(c_ref_) * m_ref_;
+  }
 
-  std::vector<ProcId> best_assign;
-  Int128 best_key = 0;
-  // The doubly-balanced target: every normalized peak at its floor.
-  const Int128 ideal = static_cast<Int128>(c_ref) * m_ref;
-  for (int trial = 0; trial < max_trials && !(best_key <= ideal && trial > 0);
-       ++trial) {
-    if (trial < 64 || trial % 64 == 0 || best_assign.empty()) {
-      // Fresh randomized greedy dive (Fisher-Yates order, least normalized
-      // peak placement).
+  /// Runs trials until min(until, max_trials) have run in all or one hits;
+  /// returns hit().
+  bool run(std::uint64_t until) {
+    for (until = std::min(until, max_trials_); trials_ < until && !hit();
+         ++trials_) {
+      trial();
+    }
+    return hit();
+  }
+
+ private:
+  void trial() {
+    const std::size_t n = inst_->n();
+    const int m = inst_->m();
+    load_.assign(static_cast<std::size_t>(m), 0);
+    mem_.assign(static_cast<std::size_t>(m), 0);
+    if (trials_ < 64 || trials_ % 64 == 0 || best_assign_.empty()) {
+      // Fresh randomized greedy dive: Fisher-Yates order, each task on the
+      // least normalized peak (the search's first child).
       for (std::size_t i = n; i > 1; --i) {
         const auto j = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-        std::swap(order[i - 1], order[j]);
+            rng_.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(order_[i - 1], order_[j]);
       }
-      std::fill(load.begin(), load.end(), 0);
-      std::fill(mem.begin(), mem.end(), 0);
-      for (const TaskId id : order) {
-        const Task& t = inst.task(id);
-        ProcId best = 0;
-        Int128 key_best = 0;
-        for (ProcId q = 0; q < m; ++q) {
-          const Int128 key = std::max(
-              static_cast<Int128>(load[static_cast<std::size_t>(q)] + t.p) *
-                  m_ref,
-              static_cast<Int128>(mem[static_cast<std::size_t>(q)] + t.s) *
-                  c_ref);
-          if (q == 0 || key < key_best) {
-            best = q;
-            key_best = key;
-          }
-        }
-        assign[static_cast<std::size_t>(id)] = best;
-        load[static_cast<std::size_t>(best)] += t.p;
-        mem[static_cast<std::size_t>(best)] += t.s;
+      for (const TaskId id : order_) {
+        const Task& t = inst_->task(id);
+        order_children(t, m, load_, mem_, c_ref_, m_ref_, keys_, cand_);
+        assign_[static_cast<std::size_t>(id)] = cand_[0];
+        load_[static_cast<std::size_t>(cand_[0])] += t.p;
+        mem_[static_cast<std::size_t>(cand_[0])] += t.s;
       }
     } else {
       // Iterated local search: kick the best assignment (a handful of
       // random reassignments) and re-polish from there.
-      assign = best_assign;
-      const int kicks = 2 + static_cast<int>(rng.uniform_int(
+      assign_ = best_assign_;
+      const int kicks = 2 + static_cast<int>(rng_.uniform_int(
                                 0, 2 + static_cast<std::int64_t>(n) / 8));
       for (int k = 0; k < kicks; ++k) {
         const auto i = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-        assign[i] = static_cast<ProcId>(rng.uniform_int(0, m - 1));
+            rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        assign_[i] = static_cast<ProcId>(rng_.uniform_int(0, m - 1));
       }
-      rebuild_loads();
+      for (std::size_t i = 0; i < n; ++i) {
+        const Task& t = inst_->task(static_cast<TaskId>(i));
+        load_[static_cast<std::size_t>(assign_[i])] += t.p;
+        mem_[static_cast<std::size_t>(assign_[i])] += t.s;
+      }
     }
-    polish_assignment(inst, c_ref, m_ref, assign, load, mem);
-    offer_assignment(inst, assign, front);
-    const Int128 key = peak_key();
-    if (best_assign.empty() || key < best_key) {
-      best_assign = assign;
-      best_key = key;
+    polish_assignment(*inst_, c_ref_, m_ref_, assign_, load_, mem_);
+    offer_assignment(*inst_, assign_, *front_);
+    Int128 key = 0;
+    for (int q = 0; q < m; ++q) {
+      const auto uq = static_cast<std::size_t>(q);
+      key = std::max({key, static_cast<Int128>(load_[uq]) * m_ref_,
+                      static_cast<Int128>(mem_[uq]) * c_ref_});
+    }
+    if (best_assign_.empty() || key < best_key_) {
+      best_assign_ = assign_;
+      best_key_ = key;
     }
   }
-}
+
+  const Instance* inst_;
+  FrontStaircase* front_;
+  std::int64_t c_ref_;
+  std::int64_t m_ref_;
+  std::uint64_t max_trials_;
+  std::uint64_t trials_ = 0;
+  Rng rng_{0xd1fe5eed};  // fixed seed: enumeration stays deterministic
+  std::vector<TaskId> order_;
+  std::vector<std::int64_t> load_;
+  std::vector<std::int64_t> mem_;
+  std::vector<ProcId> assign_;
+  std::vector<ProcId> best_assign_;
+  Int128 best_key_ = 0;
+  std::vector<Int128> keys_;  // greedy placement scratch
+  std::vector<ProcId> cand_;
+};
 
 /// Capped satisfiability probe for the ideal point: a DFS over the given
 /// task order with *hard* per-processor caps cmax <= c_cap and
@@ -437,16 +458,19 @@ void dive_seeds(const Instance& inst, std::int64_t c_ref, std::int64_t m_ref,
 /// -- the common case once n/m is large and weights are i.i.d. -- this
 /// resolves in thousands of nodes where the Pareto search would hunt for
 /// millions, and the found point then prunes the main search at the root.
-/// Returns true iff an assignment was found (and offered).
+/// When it is not, exhausting the capped tree proves so, usually in a few
+/// hundred nodes. The probe races the dives: its node count paces them.
 class CappedProbe {
  public:
   CappedProbe(const Instance& inst, std::span<const TaskId> order,
-              std::int64_t c_cap, std::int64_t m_cap, std::uint64_t limit)
+              std::int64_t c_cap, std::int64_t m_cap, std::uint64_t limit,
+              DiveHunt& dives)
       : inst_(&inst),
         order_(order),
         c_cap_(c_cap),
         m_cap_(m_cap),
         limit_(limit),
+        dives_(&dives),
         n_(inst.n()),
         m_(inst.m()),
         load_(static_cast<std::size_t>(inst.m()), 0),
@@ -462,38 +486,38 @@ class CappedProbe {
     }
   }
 
+  /// Runs the race. Returns true iff it settled the hunt: the probe found
+  /// an assignment (and offered it), a dive hit, or the capped tree was
+  /// exhausted, which proves the point unreachable. False means the probe
+  /// hit its node budget first.
   bool run(FrontStaircase& front) {
-    if (!dfs(0, 0)) return false;
-    offer_assignment(*inst_, assign_, front);
-    return true;
+    if (dfs(0, 0)) {
+      offer_assignment(*inst_, assign_, front);
+      return true;
+    }
+    return nodes_ <= limit_;
   }
 
  private:
   bool dfs(std::size_t idx, int used) {
-    if (++nodes_ > limit_) return false;  // budget exhausted: give up
+    if (dives_->hit() || ++nodes_ > limit_) return false;
+    // Each time the node count doubles, the dives catch up to nodes / 8
+    // trials (about one trial's cost in probe nodes at n = 12, m = 3).
+    if (nodes_ >= 16 && std::has_single_bit(nodes_) &&
+        dives_->run(nodes_ / 8)) {
+      return false;
+    }
     if (idx == n_) return true;
     // Even spread of the remaining weight must fit under both caps.
     if (fluid_bound(scratch_, load_, suffix_sum_p_[idx]) > c_cap_) return false;
     if (fluid_bound(scratch_, mem_, suffix_sum_s_[idx]) > m_cap_) return false;
     const Task& t = inst_->task(order_[idx]);
-    const int reach = std::min(used + 1, m_);
     // Most-slack-first child order (same balanced steering as the main
     // search; first-fit order stalls on exactly the instances that need
     // this probe).
     std::vector<ProcId>& cand = children_[idx];
-    cand.resize(static_cast<std::size_t>(reach));
-    std::iota(cand.begin(), cand.end(), ProcId{0});
-    const auto key = [&](ProcId q) {
-      const auto uq = static_cast<std::size_t>(q);
-      return std::max(static_cast<Int128>(load_[uq] + t.p) * m_cap_,
-                      static_cast<Int128>(mem_[uq] + t.s) * c_cap_);
-    };
-    std::sort(cand.begin(), cand.end(), [&](ProcId a, ProcId b) {
-      const Int128 ka = key(a);
-      const Int128 kb = key(b);
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
+    order_children(t, std::min(used + 1, m_), load_, mem_, c_cap_, m_cap_,
+                   keys_, cand);
     for (const ProcId q : cand) {
       const auto uq = static_cast<std::size_t>(q);
       if (load_[uq] + t.p > c_cap_ || mem_[uq] + t.s > m_cap_) continue;
@@ -514,6 +538,7 @@ class CappedProbe {
   std::int64_t m_cap_;
   std::uint64_t limit_;
   std::uint64_t nodes_ = 0;
+  DiveHunt* dives_;
   std::size_t n_;
   int m_;
   std::vector<std::int64_t> load_;
@@ -521,6 +546,7 @@ class CappedProbe {
   std::vector<std::int64_t> suffix_sum_p_;
   std::vector<std::int64_t> suffix_sum_s_;
   std::vector<std::int64_t> scratch_;
+  std::vector<Int128> keys_;
   std::vector<ProcId> assign_;
   std::vector<std::vector<ProcId>> children_;  // per-depth candidate buffers
 };
@@ -566,9 +592,10 @@ ParetoEnumResult enumerate_pareto_bb(const Instance& inst,
   st.m = inst.m();
   st.order.resize(st.n);
   std::iota(st.order.begin(), st.order.end(), TaskId{0});
-  // Non-increasing *normalized* weight max(p_i / total_p, s_i / total_s),
-  // cross-multiplied exactly: heavy decisions on either axis happen high
-  // in the tree. (Raw p + s would be flat on anti-correlated instances.)
+  // Non-increasing *normalized* weight p_i / total_p + s_i / total_s,
+  // cross-multiplied exactly to p_i * total_s + s_i * total_p (ties by
+  // p_i + s_i, then by id): heavy decisions on either axis happen high in
+  // the tree. (Raw p + s would be flat on anti-correlated instances.)
   const Int128 total_p = inst.total_work();
   const Int128 total_s = inst.total_storage();
   const auto norm_key = [&](TaskId id) {
@@ -625,22 +652,21 @@ ParetoEnumResult enumerate_pareto_bb(const Instance& inst,
         st.c_star > 0 ? st.c_star : partition_lower_bound(wp, st.m), 1);
     st.m_ref = std::max<std::int64_t>(
         st.m_star > 0 ? st.m_star : partition_lower_bound(ws, st.m), 1);
-    // Hunt the ideal point (C*, M*): cheap randomized dives first, then
-    // the capped satisfiability probe if they missed. If either lands it,
-    // the whole enumeration collapses to a root prune.
+    // Hunt the ideal point (C*, M*): one dive, then a race in which the
+    // capped probe's node count paces the dives. A dive or the probe
+    // landing the point collapses the enumeration to a root prune; the
+    // probe exhausting its tree proves the point unreachable. Only a probe
+    // that blows its budget lets the dives run on to their cap.
     if (!st.front.dominated(st.c_ref, st.m_ref)) {
-      // Trial count scales with the caller's limit so a small limit means
-      // a genuinely small total work bound, not just a small main search.
-      const int trials = static_cast<int>(
-          std::min<std::uint64_t>(2048, limit / 256));
-      dive_seeds(inst, st.c_ref, st.m_ref, trials, st.front);
-    }
-    if (!st.front.dominated(st.c_ref, st.m_ref)) {
-      // The probe gets a generous slice: its capped nodes are much
-      // cheaper than main-search nodes and a hit erases the whole tree.
+      // Budgets scale with the caller's limit, so a small limit means a
+      // genuinely small total work bound. The probe gets a generous slice:
+      // capped nodes are much cheaper than main-search nodes.
+      const std::uint64_t trials = std::min<std::uint64_t>(2048, limit / 256);
+      DiveHunt dives(inst, st.c_ref, st.m_ref, trials, st.front);
+      dives.run(1);
       CappedProbe probe(inst, st.order, st.c_ref, st.m_ref,
-                        std::max<std::uint64_t>(limit / 2, 1));
-      probe.run(st.front);
+                        std::max<std::uint64_t>(limit / 2, 1), dives);
+      if (!probe.run(st.front)) dives.run(trials);
     }
   }
   st.dfs(0, 0);

@@ -5,8 +5,9 @@
 // fronts stop at n ~ 14. This engine reaches n ~ 30-50 by searching the
 // same tree with three prunes layered on top of the symmetry breaking:
 //
-//   * task order: non-increasing p_i + s_i, so heavy decisions happen high
-//     in the tree where pruning removes the most work;
+//   * task order: non-increasing normalized weight p_i / total_p +
+//     s_i / total_s (ties by p_i + s_i, then id), so heavy decisions on
+//     either axis happen high in the tree where pruning removes the most;
 //   * lower bounds: at every node, a per-objective bound on any completion
 //     of the partial assignment -- max(water-fill level of the remaining
 //     weight over the current loads, largest remaining single weight);
@@ -15,11 +16,18 @@
 //     is weakly dominated by an incumbent point cannot produce a new
 //     Pareto point and is cut.
 //
-// The staircase is seeded before the search with cheap achievable points
-// (LPT on p, LPT on s, and SBO threshold routings between them across a
-// geometric Delta ladder), so pruning has teeth from node one. Every
-// incumbent is a real assignment, and a branch is cut only when each of
-// its completions is weakly dominated by an incumbent, so the surviving
+// Before the search, the staircase is seeded so pruning has teeth from
+// node one: LPT and MULTIFIT points on each axis and SBO threshold routings
+// between them across a geometric Delta ladder; the exact per-axis optima
+// C* and M*, which double as global floors; and a race for the ideal point
+// (C*, M*) between randomized polished dives and a capped satisfiability
+// probe whose node count paces them. The race ends at the first conclusive
+// answer: a dive or the probe lands the point (the search then collapses
+// to a root prune), or the probe exhausts its tree, proving the point
+// unreachable.
+//
+// Every incumbent is a real assignment, and a branch is cut only when each
+// of its completions is weakly dominated by an incumbent, so the surviving
 // staircase is exactly the Pareto set -- bit-identical, as a point vector,
 // to enumerate_pareto_reference()'s front on every instance.
 #pragma once
@@ -73,11 +81,12 @@ class FrontStaircase {
 /// on precedence instances and std::runtime_error past `limit`), but
 /// `limit` counts *main-search* nodes, not complete assignments, and the
 /// returned `enumerated` is that node count. The seeding stages are
-/// budgeted as fixed fractions of `limit` (limit/8 per axis sub-search,
-/// limit/2 for the capped probe, limit/256 dive trials) and give up
-/// silently rather than throw, so total work stays a small multiple of
-/// `limit`. Representative schedules may differ from the reference
-/// walker's; the front itself never does.
+/// budgeted as fixed fractions of `limit` and give up silently rather than
+/// throw, so total work stays a small multiple of `limit`: limit/8 nodes
+/// per axis sub-search, and for the race limit/2 probe nodes and
+/// min(2048, limit/256) dive trials; the dives run to their cap only when
+/// the probe stops at its own without an answer. Representative schedules
+/// may differ from the reference walker's; the front itself never does.
 ParetoEnumResult enumerate_pareto_bb(
     const Instance& inst, std::uint64_t limit = kParetoEnumDefaultLimit);
 

@@ -1,23 +1,40 @@
 // Tests for the branch-and-bound exact Pareto engine (core/pareto_bb.hpp)
 // and its pareto:exact solver surface: edge cases (empty, single task,
-// all-equal weights, m >= n), the node-limit guard, the env-var engine
-// toggle, and bit-identical-front agreement with the seed's brute-force
-// walker on 120 randomized instances.
+// all-equal weights, m >= n, a budget too small for any dive), the
+// node-limit guard, the env-var engine toggle, bit-identical-front
+// agreement with the seed's brute-force walker on 120 randomized instances
+// and on every generator family, and thread-count-independent
+// representative schedules.
 #include "core/pareto_bb.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 
+#include "common/generators.hpp"
 #include "common/paper_instances.hpp"
 #include "common/rng.hpp"
 #include "core/solver.hpp"
+#include "core/stream.hpp"
 #include "test_util.hpp"
 
 namespace storesched {
 namespace {
 
 using testing::make_instance;
+
+/// Asserts that every front point's representative schedule is valid and
+/// achieves the point.
+void expect_representatives_achieve(const Instance& inst,
+                                    const ParetoEnumResult& r) {
+  for (const auto& pt : r.front) {
+    const Schedule& sched = r.schedules[static_cast<std::size_t>(pt.tag)];
+    EXPECT_TRUE(validate_schedule(inst, sched).ok);
+    EXPECT_EQ(objectives(inst, sched), pt.value);
+  }
+}
 
 TEST(ParetoBb, RejectsPrecedence) {
   Dag d(1);
@@ -92,12 +109,48 @@ TEST(ParetoBb, MatchesReferenceOnRandomizedInstances) {
     const auto bb = enumerate_pareto_bb(inst);
     const auto ref = enumerate_pareto_reference(inst);
     ASSERT_EQ(bb.front, ref.front) << "trial " << trial;
-    for (const auto& pt : bb.front) {
-      const Schedule& sched = bb.schedules[static_cast<std::size_t>(pt.tag)];
-      EXPECT_TRUE(validate_schedule(inst, sched).ok);
-      EXPECT_EQ(objectives(inst, sched), pt.value);
+    expect_representatives_achieve(inst, bb);
+  }
+}
+
+TEST(ParetoBb, MatchesReferenceOnGeneratorFamilies) {
+  // Where the cli-exact workload runs the engine (n = 12, m = 3) and next
+  // to it (n = 10, m = 4), on every generator family at weights up to 100.
+  // The corpus holds single-point fronts (the ideal point is reached) and
+  // multi-point ones (the ideal point is refuted), so both ways the hunt
+  // for the ideal point can end stay covered.
+  Rng rng(15);
+  GenParams gp;  // weights in [1, 100]
+  std::size_t single = 0;
+  std::size_t multi = 0;
+  for (const char* family :
+       {"uniform", "correlated", "anticorrelated", "bimodal"}) {
+    for (const auto& [n, m] : {std::pair<std::size_t, int>{12, 3}, {10, 4}}) {
+      gp.n = n;
+      gp.m = m;
+      for (int k = 0; k < 8; ++k) {
+        const Instance inst = generate_by_name(family, gp, rng);
+        const auto bb = enumerate_pareto_bb(inst);
+        ASSERT_EQ(bb.front, enumerate_pareto_reference(inst).front)
+            << family << " n=" << n << " m=" << m << " #" << k;
+        expect_representatives_achieve(inst, bb);
+        ++(bb.front.size() == 1 ? single : multi);
+      }
     }
   }
+  EXPECT_GT(single, 0u);
+  EXPECT_GT(multi, 0u);
+}
+
+TEST(ParetoBb, BudgetBelowOneDiveStillExact) {
+  // limit < 256 grants zero dive trials; the probe and the main search
+  // still settle the front when it fits in the budget.
+  const Instance inst =
+      make_instance({9, 7, 6, 4, 3, 1}, {1, 3, 4, 6, 7, 9}, 2);
+  const auto bb = enumerate_pareto_bb(inst, /*limit=*/255);
+  EXPECT_GT(bb.front.size(), 1u);
+  EXPECT_EQ(bb.front, enumerate_pareto_reference(inst).front);
+  expect_representatives_achieve(inst, bb);
 }
 
 TEST(ParetoBb, EnvToggleRoutesDispatcherToReference) {
@@ -166,6 +219,40 @@ TEST(ParetoExactSolver, HonorsPrecedenceRejectionAndLimit) {
   const Instance tight = make_instance({3, 2, 2}, {2, 2, 3}, 2);
   EXPECT_THROW(make_solver("pareto:exact,limit=1")->solve(tight),
                std::runtime_error);
+}
+
+TEST(ParetoExactSolver, SchedulesIndependentOfThreadsAndRuns) {
+  // Representatives are not pinned to the walker's, but they must not
+  // depend on the thread count or on the run.
+  Rng rng(7);
+  GenParams gp;
+  gp.n = 12;
+  gp.m = 3;
+  std::vector<Instance> corpus;
+  for (const char* family :
+       {"uniform", "correlated", "anticorrelated", "bimodal"}) {
+    for (int k = 0; k < 6; ++k) {
+      corpus.push_back(generate_by_name(family, gp, rng));
+    }
+  }
+  const auto lines = [&](int threads) {
+    const std::vector<SolveResult> results =
+        solve_batch("pareto:exact", corpus, {}, {.threads = threads});
+    std::string out;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      out += result_to_jsonl(i, results[i], {.include_schedule = true});
+      for (const Schedule& rep : results[i].pareto->schedules) {
+        for (TaskId t = 0; t < static_cast<TaskId>(rep.n()); ++t) {
+          out += ' ' + std::to_string(rep.proc(t));
+        }
+      }
+      out += '\n';
+    }
+    return out;
+  };
+  const std::string first = lines(1);
+  EXPECT_EQ(lines(4), first);
+  EXPECT_EQ(lines(1), first);
 }
 
 TEST(ParetoExactSolver, HasNoDeltaKnob) {
