@@ -14,24 +14,12 @@
 // peak-RSS delta must scale with the window, not the batch. Run with
 // --json to record the trajectory (BENCH_scaling.json).
 //
-// Two storage-tier cells ride along (both gated):
-//   * binary-vs-JSONL ingest at the same one million tiny instances -- the
-//     zero-copy column walk (storage/wire_format.hpp) must be >= 3x faster
-//     than the JSONL parse, the wire's reason to exist;
-//   * result-cache hit rate on a duplicate-heavy stream -- >= 95% of a
-//     20k-record run drawn from 500 distinct instances must be served from
-//     the cache (storage/result_cache.hpp), bit-identical by audit.
-//
-// --baseline=BENCH_scaling.json compares the ingest speedup against the
-// committed trajectory: the run fails if it drops below
-// max(3, 0.2 * baseline) -- 0.2 absorbs cross-machine variance while still
-// catching a reintroduced per-byte parse. --trend (requires --baseline)
-// additionally skips the slow JSONL re-measure and divides the baseline's
-// committed jsonl_ms by a freshly measured binary wall time -- the
-// seconds-scale CI mode; never commit a --trend JSON as the baseline.
+// A storage-tier cell rides along (gated): the result-cache hit rate on a
+// duplicate-heavy stream -- >= 95% of a 20k-record run drawn from 500
+// distinct instances must be served from the cache
+// (storage/result_cache.hpp), bit-identical by audit.
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -49,7 +37,6 @@
 #include "core/solver.hpp"
 #include "core/stream.hpp"
 #include "storage/result_cache.hpp"
-#include "storage/wire_format.hpp"
 
 namespace {
 
@@ -95,37 +82,9 @@ double peak_rss_mb() {
 
 int main(int argc, char** argv) {
   using bench::banner;
-  using bench::baseline_record;
-  using bench::read_baseline;
-  using bench::record_field;
   using bench::time_ms;
 
   banner("EXT-E", "Wall-clock scaling via the unified solver API");
-  // Argument validation runs before the BenchReport exists: its destructor
-  // writes BENCH_scaling.json on --json runs, and an empty-records report
-  // must never clobber a committed baseline on a usage error.
-  std::string baseline_path;
-  bool trend = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--baseline=", 0) == 0) baseline_path = arg.substr(11);
-    if (arg == "--trend") trend = true;
-  }
-  if (trend && baseline_path.empty()) {
-    std::cout << "--trend gates against committed reference timings and "
-                 "requires --baseline=PATH\n";
-    return 1;
-  }
-  const std::string baseline_text =
-      baseline_path.empty() ? std::string() : read_baseline(baseline_path);
-  if (trend &&
-      baseline_record(baseline_text, "binary_ingest", {}).find("\"trend\": true") !=
-          std::string::npos) {
-    std::cout << "baseline " << baseline_path
-              << " was itself recorded with --trend; gate it against a full "
-                 "run instead\n";
-    return 1;
-  }
   bench::BenchReport report("scaling", argc, argv);
 
   // --- Per-solver single-instance scaling. -------------------------------
@@ -356,96 +315,6 @@ int main(int argc, char** argv) {
               << fmt(batch_delta_mb, 1) << " MiB) (bug!)\n";
   }
 
-  // --- Binary vs JSONL ingest at the same 1M tiny instances. -------------
-  // The binary wire's reason to exist: one validated pointer walk over the
-  // columns against a byte-at-a-time JSONL parse. Runs after the RSS cell
-  // (peak_rss_mb() is monotonic and the wires materialize here). In
-  // --trend mode the slow JSONL side is read from the committed baseline.
-  std::cout << "\nBinary vs JSONL ingest (" << stream_count
-            << " tiny instances):\n";
-  std::string jsonl_bytes;
-  {
-    std::ostringstream os;
-    for (const Instance& inst : tiny_batch) {
-      os << instance_to_jsonl(inst) << '\n';
-    }
-    jsonl_bytes = os.str();
-  }
-  const std::string binary_bytes = wire::encode_instances(tiny_batch);
-
-  double jsonl_ms;
-  if (trend) {
-    jsonl_ms = record_field(baseline_record(baseline_text, "binary_ingest", {}),
-                            "jsonl_ms");
-  } else {
-    std::size_t jsonl_count = 0;
-    std::int64_t jsonl_sum = 0;
-    jsonl_ms = time_ms([&] {
-      std::istringstream in(jsonl_bytes);
-      JsonlInstanceSource source(in);
-      while (const std::shared_ptr<const Instance> inst = source.next()) {
-        ++jsonl_count;
-        jsonl_sum += inst->task(0).p;
-      }
-    });
-    if (jsonl_count != stream_count || jsonl_sum == 0) {
-      std::cout << "JSONL ingest consumed " << jsonl_count
-                << " instances (bug!)\n";
-      return 1;
-    }
-  }
-
-  std::size_t binary_count = 0;
-  std::int64_t binary_sum = 0;
-  const double binary_ms = time_ms([&] {
-    // Construction validates the whole container (header, checksums, every
-    // record); the walk then reads the p column zero-copy.
-    const wire::InstanceView view(binary_bytes);
-    binary_count = view.count();
-    for (std::size_t i = 0; i < view.count(); ++i) {
-      binary_sum += view.task_p(i)[0];
-    }
-  });
-  if (binary_count != stream_count || binary_sum == 0) {
-    std::cout << "binary ingest consumed " << binary_count
-              << " instances (bug!)\n";
-    return 1;
-  }
-  const double ingest_speedup = binary_ms > 0 ? jsonl_ms / binary_ms : 0.0;
-
-  std::vector<std::vector<std::string>> ingest_rows;
-  ingest_rows.push_back(
-      {"JSONL parse" + std::string(trend ? " (baseline)" : ""),
-       fmt(jsonl_ms, 0), fmt(static_cast<double>(jsonl_bytes.size()) / 1e6, 1),
-       "1.00"});
-  ingest_rows.push_back({"binary validate + column walk", fmt(binary_ms, 0),
-                         fmt(static_cast<double>(binary_bytes.size()) / 1e6, 1),
-                         fmt(ingest_speedup, 2)});
-  std::cout << markdown_table({"wire", "wall ms", "MB", "speedup"},
-                              ingest_rows);
-  report.add("binary_ingest", {{"instances", stream_count},
-                               {"jsonl_ms", jsonl_ms},
-                               {"binary_ms", binary_ms},
-                               {"jsonl_bytes", jsonl_bytes.size()},
-                               {"binary_bytes", binary_bytes.size()},
-                               {"speedup", ingest_speedup},
-                               {"trend", trend}});
-
-  double ingest_floor = 3.0;
-  if (!baseline_text.empty()) {
-    const double base = record_field(
-        baseline_record(baseline_text, "binary_ingest", {}), "speedup");
-    ingest_floor = std::max(ingest_floor, 0.2 * base);
-    std::cout << "(baseline ingest speedup " << fmt(base, 2) << "x -> floor "
-              << fmt(ingest_floor, 2) << "x)\n";
-  }
-  const bool ingest_ok = ingest_speedup >= ingest_floor;
-  if (!ingest_ok) {
-    std::cout << "binary ingest speedup " << fmt(ingest_speedup, 2)
-              << "x is below the " << fmt(ingest_floor, 2)
-              << "x floor (bug!)\n";
-  }
-
   // --- Result-cache hit rate on a duplicate-heavy stream. ----------------
   // 20k records drawn round-robin from 500 distinct instances: everything
   // after each instance's first visit must be a cache hit (the table holds
@@ -515,7 +384,7 @@ int main(int argc, char** argv) {
 
   report.finish();
   return identical && speedup_ok && stream_identical && stream_rss_ok &&
-                 ingest_ok && cache_ok
+                 cache_ok
              ? 0
              : 1;
 }

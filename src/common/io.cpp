@@ -213,13 +213,6 @@ std::string line_prefix(std::size_t line_number) {
 
 }  // namespace
 
-bool has_binary_wire_magic(std::string_view bytes) {
-  return bytes.size() >= sizeof(kBinaryWireMagic) &&
-         bytes.compare(0, sizeof(kBinaryWireMagic),
-                       std::string_view(kBinaryWireMagic,
-                                        sizeof(kBinaryWireMagic))) == 0;
-}
-
 Instance read_instance(JsonCursor& cur, std::size_t line_number) {
   enum : std::size_t { kM, kTasks, kEdges };
   static constexpr std::string_view kKeys[] = {"m", "tasks", "edges"};
@@ -275,12 +268,6 @@ Instance read_instance(JsonCursor& cur, std::size_t line_number) {
 
 Instance instance_from_jsonl(std::string_view line,
                              std::size_t line_number) {
-  if (has_binary_wire_magic(line)) {
-    throw std::runtime_error(
-        "instance_from_jsonl: " + line_prefix(line_number) +
-        "input is the binary wire format (magic \"STSCHDB1\"), not JSONL -- "
-        "use --format=binary (or auto-detection) instead");
-  }
   JsonCursor cur(line);
   try {
     Instance inst = read_instance(cur, line_number);

@@ -55,17 +55,6 @@ std::string json_escape(const std::string& text);
 /// json_escape(), appended to `out`.
 void append_json_escaped(std::string& out, std::string_view text);
 
-/// First bytes of the binary columnar wire format (docs/WIRE_FORMAT.md,
-/// storage/wire_format.hpp). Defined here -- below the storage layer -- so
-/// the JSONL parsers can *name* the other wire when handed its bytes:
-/// feeding a binary file to a JSONL reader is a format mix-up worth a
-/// precise error, not a cascade of "expected '{'" noise.
-inline constexpr char kBinaryWireMagic[8] = {'S', 'T', 'S', 'C',
-                                             'H', 'D', 'B', '1'};
-
-/// True iff `bytes` begins with the binary wire magic.
-bool has_binary_wire_magic(std::string_view bytes);
-
 /// Serializes an instance as one compact JSON object -- the line format of
 /// the streaming JSONL wire protocol (core/stream.hpp, storesched_cli):
 ///   {"m":3,"tasks":[[p,s],...],"edges":[[u,v],...]}

@@ -531,8 +531,8 @@ struct StreamOptions {
   /// as-completed mode, which has no contiguity to report). A throwing
   /// callback aborts the run.
   std::function<void(const StreamProgress&)> progress;
-  /// Canonicalization-keyed result cache (storage/result_cache.hpp), not
-  /// owned; must outlive the run. When set, each record is looked up
+  /// Result cache keyed on the input as given (storage/result_cache.hpp),
+  /// not owned; must outlive the run. When set, each record is looked up
   /// before its first solve attempt (a hit delivers the cached result and
   /// skips the solver) and every cacheable cold solve is inserted after.
   /// Null = no caching (historical behavior).

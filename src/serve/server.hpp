@@ -83,8 +83,8 @@ struct ServeOptions {
   RouterOptions router;
   /// Response line shaping (include_schedule).
   JsonlResultOptions result;
-  /// Canonicalization-keyed result cache (storage/result_cache.hpp), not
-  /// owned; must outlive the server. When set, each admitted solve
+  /// Result cache keyed on the input as given (storage/result_cache.hpp),
+  /// not owned; must outlive the server. When set, each admitted solve
   /// request is looked up before it touches the router -- a hit answers
   /// without solving (admission "ok", rung -1) -- and every cold routed
   /// solve is inserted after. Null = no caching.

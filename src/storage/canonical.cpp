@@ -1,14 +1,16 @@
 #include "storage/canonical.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "storage/wire_format.hpp"
 
 namespace storesched::storage {
 
 namespace {
+
+/// Names the key scheme (2: tasks in input order). Keys of another scheme,
+/// such as entries an older build left in a live shm store, never match.
+constexpr std::uint64_t kKeyScheme = 2;
 
 /// splitmix64 finalizer -- the second lane's word mixer.
 std::uint64_t mix64(std::uint64_t x) {
@@ -48,22 +50,10 @@ struct KeyHasher {
 
 }  // namespace
 
-std::vector<TaskId> canonical_order(const Instance& inst) {
-  std::vector<TaskId> order(inst.n());
-  std::iota(order.begin(), order.end(), TaskId{0});
-  if (inst.has_precedence()) return order;
-  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-    const Task& ta = inst.task(a);
-    const Task& tb = inst.task(b);
-    if (ta.p != tb.p) return ta.p < tb.p;
-    return ta.s < tb.s;
-  });
-  return order;
-}
-
-CacheKey cache_key(const Instance& inst, std::span<const TaskId> order,
-                   std::string_view spec, const SolveOptions& options) {
+CacheKey cache_key(const Instance& inst, std::string_view spec,
+                   const SolveOptions& options) {
   KeyHasher h;
+  h.word(kKeyScheme);
   h.word(wire::kWireVersion);
   h.word(spec.size());
   h.bytes(spec.data(), spec.size());
@@ -72,8 +62,7 @@ CacheKey cache_key(const Instance& inst, std::span<const TaskId> order,
   h.word(static_cast<std::uint64_t>(options.memory_capacity.value_or(0)));
   h.word(options.validate ? 1 : 0);
   h.word(inst.n());
-  for (const TaskId id : order) {
-    const Task& t = inst.task(id);
+  for (const Task& t : inst.tasks()) {
     h.word(static_cast<std::uint64_t>(t.p));
     h.word(static_cast<std::uint64_t>(t.s));
   }
@@ -90,42 +79,6 @@ CacheKey cache_key(const Instance& inst, std::span<const TaskId> order,
     h.word(0);
   }
   return h.key();
-}
-
-namespace {
-
-/// Applies `result.schedule[from[k]] -> out[to[k]]` style reindexing with
-/// perm mapping canonical position k to original id order[k].
-void permute_schedule(SolveResult& result, std::span<const TaskId> order,
-                      bool to_canonical) {
-  if (result.schedule.n() == 0 || !result.schedule.fully_assigned()) return;
-  const Schedule& src = result.schedule;
-  const bool timed = src.timed();
-  Schedule dst(src.n(), src.m());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const TaskId canonical = static_cast<TaskId>(k);
-    const TaskId original = order[k];
-    const TaskId from = to_canonical ? original : canonical;
-    const TaskId to = to_canonical ? canonical : original;
-    if (timed) {
-      dst.assign(to, src.proc(from), src.start(from));
-    } else {
-      dst.assign(to, src.proc(from));
-    }
-  }
-  result.schedule = std::move(dst);
-}
-
-}  // namespace
-
-void schedule_to_canonical(SolveResult& result,
-                           std::span<const TaskId> order) {
-  permute_schedule(result, order, /*to_canonical=*/true);
-}
-
-void schedule_from_canonical(SolveResult& result,
-                             std::span<const TaskId> order) {
-  permute_schedule(result, order, /*to_canonical=*/false);
 }
 
 }  // namespace storesched::storage

@@ -1,15 +1,15 @@
-// Instance canonicalization and the result-cache key.
+// The result-cache key: a hash of the instance exactly as given.
 //
-// Two instances that differ only in task numbering have the same solution
-// structure, so the cache keys a *canonical form*: independent instances
-// are keyed under a stable sort of their tasks by (p, s) -- the physical
-// task ids are interchangeable labels -- while precedence instances keep
-// their ids (the DAG makes identity structural) and key the edge list too.
-// The key folds in everything else that changes a solve's output: wire
-// version, solver spec (which encodes the algorithm, its tie-breaks, and
-// Delta), m, memory capacity, and the validate flag. Deadline and
-// cancellation are deliberately NOT keyed: results influenced by either
-// are never inserted (storage/result_cache.hpp).
+// The key covers the tasks in input order -- task ids are part of the
+// input, and solvers such as rls:input or any tie-break on equal weights
+// depend on them -- plus the edge list of precedence instances. A hit is
+// therefore the stored cold result of the same input in the same order,
+// bit-identical by construction. The key folds in everything else that
+// changes a solve's output: a key-scheme tag, wire version, solver spec
+// (which encodes the algorithm, its tie-breaks, and Delta), m, memory
+// capacity, and the validate flag. Deadline and cancellation are
+// deliberately NOT keyed: results influenced by either are never inserted
+// (storage/result_cache.hpp).
 //
 // The key is 128 bits from two independently seeded mixing lanes. That
 // makes accidental collision negligible, but the cache still guards the
@@ -18,9 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/instance.hpp"
 #include "core/solver.hpp"
@@ -35,28 +33,9 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
-/// Canonical task order: for independent instances, task indices stably
-/// sorted by (p, s); for precedence instances, identity. order[k] is the
-/// original id of the task in canonical position k.
-std::vector<TaskId> canonical_order(const Instance& inst);
-
-/// Key over the canonicalized instance plus the solve configuration.
-/// `order` must come from canonical_order(inst); `spec` is the solver's
-/// canonical name (Solver::name()).
-CacheKey cache_key(const Instance& inst, std::span<const TaskId> order,
-                   std::string_view spec, const SolveOptions& options);
-
-/// Rewrites `result`'s schedule from original task ids into canonical
-/// positions (entry k describes task order[k]) -- the form the cache
-/// stores, so permuted duplicates can share one slot. No-op for results
-/// without a schedule.
-void schedule_to_canonical(SolveResult& result, std::span<const TaskId> order);
-
-/// Inverse of schedule_to_canonical: rewrites a cached result's schedule
-/// into this instance's task ids. For an exact duplicate of the inserting
-/// instance the composition is the identity, making the hit bit-identical
-/// to the cold solve.
-void schedule_from_canonical(SolveResult& result,
-                             std::span<const TaskId> order);
+/// Key over the instance, tasks in input order, plus the solve
+/// configuration. `spec` is the solver's canonical name (Solver::name()).
+CacheKey cache_key(const Instance& inst, std::string_view spec,
+                   const SolveOptions& options);
 
 }  // namespace storesched::storage

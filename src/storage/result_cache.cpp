@@ -229,9 +229,8 @@ SolveCache::SolveCache(void* base, std::size_t size, std::size_t slot_count,
 std::optional<SolveResult> SolveCache::lookup(const Instance& inst,
                                               std::string_view spec,
                                               const SolveOptions& options) {
-  const std::vector<TaskId> order = canonical_order(inst);
-  const CacheKey key = cache_key(inst, order, spec, options);
-  const std::optional<std::string> payload = table_.lookup(key);
+  const std::optional<std::string> payload =
+      table_.lookup(cache_key(inst, spec, options));
   if (!payload) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -250,7 +249,6 @@ std::optional<SolveResult> SolveCache::lookup(const Instance& inst,
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  schedule_from_canonical(result, order);
   if (audit_enabled() && result.feasible && result.schedule.n() != 0) {
     const AuditReport report = audit_schedule(
         inst, result.schedule, result, {options.memory_capacity});
@@ -268,17 +266,10 @@ void SolveCache::insert(const Instance& inst, std::string_view spec,
                         const SolveOptions& options,
                         const SolveResult& result) {
   if (cache_exempt(options)) return;
-  const std::vector<TaskId> order = canonical_order(inst);
-  const CacheKey key = cache_key(inst, order, spec, options);
-  SolveResult canonical = result;
-  // The extras channels are not wired (the payload carries the common
-  // fields, like the JSONL result line); drop them before encoding so the
-  // canonical form is stable.
-  canonical.sbo.reset();
-  canonical.rls.reset();
-  canonical.pareto.reset();
-  schedule_to_canonical(canonical, order);
-  if (table_.insert(key, wire::encode_result_payload(canonical))) {
+  // The payload carries the common fields, like the JSONL result line; the
+  // extras channels (sbo, rls, pareto) are not stored.
+  if (table_.insert(cache_key(inst, spec, options),
+                    wire::encode_result_payload(result))) {
     inserts_.fetch_add(1, std::memory_order_relaxed);
   }
 }

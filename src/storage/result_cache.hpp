@@ -1,4 +1,4 @@
-// Canonicalization-keyed result cache over a flat memory region.
+// Result cache over a flat memory region, keyed on the input as given.
 //
 // The table is built to live inside a shared-memory segment (the shm
 // store's cache region, storage/shm_store.hpp) and be used concurrently by
@@ -20,11 +20,13 @@
 // costs one re-solve). Oversized payloads are skipped, counted, and never
 // split across slots.
 //
-// SolveCache is the solver-facing facade: it canonicalizes the instance
-// (storage/canonical.hpp), keys it, stores canonical-order schedules, and
-// remaps them back on hit. Results computed under a deadline or a fired
-// cancel token are never inserted -- both can truncate a solve, and a
-// cache must only serve results any cold solve would reproduce. Under
+// SolveCache is the solver-facing facade: it keys the instance with its
+// tasks in input order (storage/canonical.hpp), so a hit is the stored
+// cold result for the same input in the same order, bit-identical by
+// construction; a permutation of the tasks is a different input and
+// misses. Results computed under a deadline or a fired cancel token are
+// never inserted -- both can truncate a solve, and a cache must only
+// serve results any cold solve would reproduce. Under
 // STORESCHED_AUDIT=1 every hit's schedule is re-audited before it is
 // returned; a violation throws (a poisoned cache must stop the run, not
 // leak wrong answers).
@@ -124,10 +126,9 @@ class SolveCache {
   SolveCache(void* base, std::size_t size, std::size_t slot_count,
              std::size_t payload_bytes, bool initialize);
 
-  /// Returns the cached result for (inst, spec, options), remapped into
-  /// this instance's task ids, or nullopt. Under STORESCHED_AUDIT=1 the
-  /// hit is audited against `inst` first; a violation throws
-  /// std::logic_error.
+  /// Returns the cached result for (inst, spec, options), or nullopt.
+  /// Under STORESCHED_AUDIT=1 the hit is audited against `inst` first; a
+  /// violation throws std::logic_error.
   std::optional<SolveResult> lookup(const Instance& inst,
                                     std::string_view spec,
                                     const SolveOptions& options);

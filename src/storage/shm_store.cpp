@@ -376,7 +376,12 @@ ShmInstanceSource::ShmInstanceSource(const ShmStore& store)
     throw std::runtime_error("shm store \"" + store.name() +
                              "\": nothing published yet");
   }
-  inner_ = std::make_unique<BinaryInstanceSource>(mapping_->bytes());
+  view_.emplace(mapping_->bytes());
+}
+
+std::shared_ptr<const Instance> ShmInstanceSource::next() {
+  if (cursor_ >= view_->count()) return nullptr;
+  return std::make_shared<const Instance>(view_->materialize(cursor_++));
 }
 
 }  // namespace storesched::storage

@@ -1,7 +1,9 @@
 // Named shared-memory instance store with atomic region-swap publish.
 //
-// One writer process publishes a binary instance container; any number of
-// serving/streaming processes attach and read it zero-copy. The layout
+// One writer process publishes an instance container in the segment layout
+// of storage/wire_format.hpp (storesched_cli --store-publish encodes it
+// from JSONL); any number of serving/streaming processes attach and read
+// it zero-copy through wire::InstanceView. The layout
 // follows the osrm-backend storage tier's shape: a tiny metadata segment
 // that is flipped atomically, plus bulk data regions that are immutable
 // once published.
@@ -18,9 +20,9 @@
 // new readers land on E+1. Readers snapshot with a bounded seqlock
 // double-read and simply retry when a republish races their shm_open.
 //
-// The metadata segment also hosts the canonicalization-keyed result cache
+// The metadata segment also hosts the result cache
 // (storage/result_cache.hpp): every attached process shares one table, so
-// a duplicate instance solved by any process is a hash lookup for all of
+// an exact duplicate solved by any process is a hash lookup for all of
 // them. The cache is why readers attach read-write -- the instance
 // regions themselves are mapped read-only.
 //
@@ -28,7 +30,7 @@
 // SIGKILL'd process leaks them until unlink(name) -- which therefore
 // scans for *every* "storesched.<name>*" segment, including orphaned
 // epochs from writers that died mid-publish (exercised by the cram
-// transcript 0700-binary-roundtrip.t).
+// transcript 0700-shm-store.t).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +41,8 @@
 #include <vector>
 
 #include "core/stream.hpp"
-#include "storage/binary_stream.hpp"
 #include "storage/result_cache.hpp"
+#include "storage/wire_format.hpp"
 
 namespace storesched::storage {
 
@@ -136,26 +138,26 @@ class ShmStore {
   std::unique_ptr<SolveCache> cache_;
 };
 
-/// Streaming source over the store's current snapshot: holds the mapping,
-/// validates it once, and yields instances in record order. The choice of
-/// epoch is made at construction (a republish mid-run does not retarget a
-/// running pipeline).
+/// Streaming source over the store's current snapshot: holds the mapping
+/// and one InstanceView over it (validated once), and yields instances in
+/// record order. The choice of epoch is made at construction (a republish
+/// mid-run does not retarget a running pipeline).
 class ShmInstanceSource final : public InstanceSource {
  public:
   /// Throws std::runtime_error when the store has no published epoch.
   explicit ShmInstanceSource(const ShmStore& store);
 
-  std::shared_ptr<const Instance> next() override { return inner_->next(); }
+  std::shared_ptr<const Instance> next() override;
   std::optional<std::size_t> size_hint() const override {
-    return inner_->size_hint();
+    return view_->count();
   }
-  std::optional<std::size_t> position() const override {
-    return inner_->position();
-  }
+  /// Records consumed: the segment has no lines.
+  std::optional<std::size_t> position() const override { return cursor_; }
 
  private:
   std::shared_ptr<ShmMapping> mapping_;
-  std::unique_ptr<BinaryInstanceSource> inner_;
+  std::optional<wire::InstanceView> view_;
+  std::size_t cursor_ = 0;
 };
 
 }  // namespace storesched::storage

@@ -8,11 +8,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/io.hpp"
-
 namespace storesched::wire {
 
-// The reader hands out typed spans straight into the buffer; every offset
+// The reader reads typed columns straight out of the buffer; every offset
 // it computes is 8-aligned, so host order must be the wire order for the
 // no-copy reads to be the decode.
 static_assert(std::endian::native == std::endian::little,
@@ -22,6 +20,7 @@ static_assert(sizeof(Time) == 8 && sizeof(Mem) == 8 && sizeof(TaskId) == 4,
 
 namespace {
 
+constexpr std::string_view kMagic = "STSCHDB1";
 constexpr std::size_t kHeaderSize = 48;
 constexpr std::size_t kHeaderCrcSpan = 36;  ///< bytes covered by header_crc
 constexpr std::size_t kSectionEntrySize = 32;
@@ -140,12 +139,7 @@ struct Container {
 /// reproduces them exactly.
 Container parse_container(std::string_view bytes,
                           std::span<const std::uint32_t> required_kinds) {
-  if (!has_binary_wire_magic(bytes)) {
-    if (!bytes.empty() && (bytes.front() == '{' || bytes.front() == ' ' ||
-                           bytes.front() == '\t')) {
-      fail("input looks like JSONL (leading '" + std::string(1, bytes.front()) +
-           "'), not the binary wire -- use --format=jsonl (or auto-detection)");
-    }
+  if (bytes.substr(0, kMagic.size()) != kMagic) {
     fail("bad magic (expected \"STSCHDB1\")");
   }
   if (bytes.size() < kHeaderSize) fail("truncated header");
@@ -242,7 +236,7 @@ std::string assemble(std::uint64_t payload_count,
                      std::span<const std::pair<std::uint32_t, const std::string*>>
                          sections) {
   std::string out;
-  out.append(kBinaryWireMagic, sizeof(kBinaryWireMagic));
+  out.append(kMagic);
   put<std::uint32_t>(out, kWireVersion);
   put<PayloadKind>(out, PayloadKind::kInstances);
   put<std::uint64_t>(out, payload_count);
@@ -432,8 +426,8 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   // Slicing-by-8: tables[j] advances a byte through j+1 rounds of the
   // polynomial, so the main loop folds eight input bytes per iteration.
   // Same polynomial, bit-identical to the classic byte-at-a-time loop --
-  // container validation is CRC-bound at bulk-ingest scale, and this is
-  // what keeps it off the bench_scaling ingest cell's critical path.
+  // validating a large segment (every publish and every attach) is
+  // CRC-bound.
   static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -484,8 +478,8 @@ std::string encode_instances(std::span<const Instance> instances) {
     if (inst.has_precedence()) {
       const Dag& dag = inst.dag();
       // CSR order -- ascending source, successor lists in stored order --
-      // matches instance_to_jsonl's emission, so JSONL -> binary -> JSONL
-      // round-trips byte-identically.
+      // matches instance_to_jsonl's emission, so an instance published
+      // from JSONL materializes to the same JSONL line.
       for (TaskId u = 0; u < static_cast<TaskId>(inst.n()); ++u) {
         for (const TaskId v : dag.succs(u)) {
           put<std::int32_t>(edge_src, u);
@@ -517,8 +511,7 @@ std::string encode_instances(std::span<const Instance> instances) {
 
 InstanceView::InstanceView(std::string_view bytes) {
   if (reinterpret_cast<std::uintptr_t>(bytes.data()) % 8 != 0) {
-    fail("buffer is not 8-byte aligned (mmap and the aligned slurp path "
-         "both guarantee this)");
+    fail("buffer is not 8-byte aligned (shm mappings guarantee this)");
   }
   static constexpr std::uint32_t kRequired[] = {
       kSecInstanceRecords, kSecTaskP, kSecTaskS, kSecEdgeSrc, kSecEdgeDst};
@@ -642,37 +635,6 @@ Instance InstanceView::materialize(std::size_t i) const {
     // aggregate overflow); one exception type for any malformed payload.
     fail("instance " + std::to_string(i) + ": " + e.what());
   }
-}
-
-std::span<const std::int64_t> InstanceView::task_p(std::size_t i) const {
-  const Record& rec = records_[i];
-  return {p_ + rec.task_offset, rec.task_count};
-}
-
-std::span<const std::int64_t> InstanceView::task_s(std::size_t i) const {
-  const Record& rec = records_[i];
-  return {s_ + rec.task_offset, rec.task_count};
-}
-
-int InstanceView::m(std::size_t i) const { return records_[i].m; }
-bool InstanceView::has_dag(std::size_t i) const { return records_[i].dag; }
-
-std::vector<Instance> decode_instances(std::string_view bytes) {
-  // The view requires 8-alignment; a std::string buffer usually has it,
-  // but this owned path must accept any source, so re-home if needed.
-  std::vector<std::uint64_t> aligned;
-  if (reinterpret_cast<std::uintptr_t>(bytes.data()) % 8 != 0) {
-    aligned.resize((bytes.size() + 7) / 8);
-    std::memcpy(aligned.data(), bytes.data(), bytes.size());
-    bytes = {reinterpret_cast<const char*>(aligned.data()), bytes.size()};
-  }
-  const InstanceView view(bytes);
-  std::vector<Instance> out;
-  out.reserve(view.count());
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    out.push_back(view.materialize(i));
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-// The binary columnar wire format: versioned, checksummed, mmap-able.
+// The shared-memory store's segment layout: a versioned, checksummed,
+// columnar container that readers use in place.
 //
-// JSONL is the interchange wire -- self-describing, greppable, sharded with
-// coreutils -- but at millions of tiny instances its parse cost dominates
-// the pipeline (bench_scaling's ingest cell). This module is the companion
-// wire for bulk and shared-memory paths: a sectioned little-endian container
-// that decodes by pointer arithmetic instead of byte-at-a-time parsing, and
-// that a reader can consume straight out of an mmap'd file or a shared
-// memory region (storage/shm_store.hpp) without copying the columns.
+// JSONL is the one instance wire for files and pipes. This container is
+// what `storesched_cli --store-publish` writes into a shared-memory
+// segment (storage/shm_store.hpp) and what `--store`, serve's {"ref":N}
+// requests and the store's own publish check read back through
+// InstanceView: a sectioned little-endian layout that decodes by pointer
+// arithmetic, straight out of the mapped region, without copying the
+// columns.
 //
 // Layout (full diagram and compat rules: docs/WIRE_FORMAT.md):
 //
@@ -16,26 +17,27 @@
 //                 (8-aligned), byte size, CRC32 over the section bytes
 //   [section bytes ...]
 //
-// Instance files are columnar: one InstanceRecord per instance (m, flags,
-// [task_offset, task_count) into the p/s columns, [edge_offset, edge_count)
-// into the edge columns) over shared i64 p / i64 s / i32 edge-endpoint
-// arrays. DAG edges are stored source-sorted per instance -- the CSR order
-// DagFrontierView uses -- so rebuilding adjacency is a linear append.
-// Results travel as single-result payload blobs: a fixed-width record plus
-// diagnostics / proc / start bytes, carrying every field a JSONL result
-// line can (encode/decode_result_payload round-trip through
-// result_to_jsonl() byte-identically). The result cache
+// Instance segments are columnar: one InstanceRecord per instance (m,
+// flags, [task_offset, task_count) into the p/s columns, [edge_offset,
+// edge_count) into the edge columns) over shared i64 p / i64 s / i32
+// edge-endpoint arrays. DAG edges are stored source-sorted per instance --
+// the CSR order DagFrontierView uses -- so rebuilding adjacency is a
+// linear append. Results travel as single-result payload blobs: a
+// fixed-width record plus diagnostics / proc / start bytes, carrying every
+// field a JSONL result line can (encode/decode_result_payload round-trip
+// through result_to_jsonl() byte-identically). The result cache
 // (storage/result_cache.hpp) stores exactly these payloads.
 //
-// Reader contract (the fuzz oracle's): decode_instances() and
-// decode_result_payload() either return the parsed payload or throw
+// Reader contract (the fuzz oracle's): InstanceView's constructor and
+// decode_result_payload() either accept the bytes or throw
 // std::runtime_error naming the offense -- bad magic, version skew,
 // truncation, misaligned or overlapping sections, checksum mismatch,
 // counts that do not add up, weights or edges the Instance/Dag
-// constructors reject. A hostile file is an error, never
+// constructors reject. A hostile segment is an error, never
 // UB: every offset and count is bounds-checked against the buffer before it
 // is dereferenced, and all arithmetic is overflow-checked. Writers always
-// produce canonical bytes: encode(decode(encode(x))) == encode(x).
+// produce canonical bytes: encoding what a view materializes reproduces
+// the viewed bytes exactly.
 #pragma once
 
 #include <cstdint>
@@ -67,24 +69,20 @@ std::uint32_t crc32(const void* data, std::size_t size,
 // Encoding.
 // ---------------------------------------------------------------------------
 
-/// Serializes instances into one canonical binary container.
+/// Serializes instances into one canonical container (a store segment).
 std::string encode_instances(std::span<const Instance> instances);
 
 // ---------------------------------------------------------------------------
 // Decoding (strict: std::runtime_error on any malformed byte).
 // ---------------------------------------------------------------------------
 
-/// Parses a whole instance container into owned Instances.
-std::vector<Instance> decode_instances(std::string_view bytes);
-
-/// Zero-copy random-access view over an instance container sitting in an
-/// mmap'd file or a shared-memory region. Construction validates the whole
-/// container (header, section table, checksums, every record's offsets,
-/// every task weight and edge) exactly like decode_instances -- after it
-/// succeeds, materialize() cannot throw on format grounds and readers may
-/// touch the columns freely. The viewed bytes must outlive the view and
-/// stay immutable (the shm store's published regions are read-only by
-/// contract).
+/// Zero-copy random-access view over an instance container sitting in a
+/// shared-memory segment. `bytes` must be 8-aligned (mappings are).
+/// Construction validates the whole container (header, section table,
+/// checksums, every record's offsets, every task weight and edge) -- after
+/// it succeeds, materialize() cannot throw on format grounds. The viewed
+/// bytes must outlive the view and stay immutable (the shm store's
+/// published regions are read-only by contract).
 class InstanceView {
  public:
   /// Validates and indexes `bytes`. Throws std::runtime_error as above.
@@ -95,12 +93,6 @@ class InstanceView {
   /// Rebuilds instance `i` as an owning Instance (weights and adjacency
   /// copied out of the columns). Precondition: i < count().
   Instance materialize(std::size_t i) const;
-
-  /// Direct column access for ingest paths that do not need an Instance.
-  std::span<const std::int64_t> task_p(std::size_t i) const;
-  std::span<const std::int64_t> task_s(std::size_t i) const;
-  int m(std::size_t i) const;
-  bool has_dag(std::size_t i) const;
 
  private:
   struct Record {

@@ -73,9 +73,8 @@
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 
-// The storage tier: binary wire format, shared-memory instance store,
-// canonicalization-keyed result cache (docs/WIRE_FORMAT.md).
-#include "storage/binary_stream.hpp"
+// The storage tier: the shared-memory instance store, its segment layout,
+// and the result cache keyed on the input as given (docs/WIRE_FORMAT.md).
 #include "storage/canonical.hpp"
 #include "storage/result_cache.hpp"
 #include "storage/shm_store.hpp"

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
+#include "common/io.hpp"
+#include "core/stream.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -783,15 +785,21 @@ TEST_F(ServeServerTest, ResultCacheAnswersDuplicatesAndCountsThem) {
   ServeServer server(options);
   server.start();
 
+  // A tied instance and its permutation: graham:lpt answers them
+  // differently, so the permutation must not be served from the first
+  // one's entry.
+  const std::string first =
+      R"({"m":2,"tasks":[[5,1],[5,9],[3,3],[3,7],[2,2],[4,8],[4,1]]})";
+  const std::string permuted =
+      R"({"m":2,"tasks":[[5,9],[5,1],[3,7],[3,3],[2,2],[4,1],[4,8]]})";
+
   TestClient client(options.unix_path);
-  client.send_line(std::string(R"({"id":"cold","instance":)") + kInstance +
-                   "}");
+  client.send_line(R"({"id":"cold","instance":)" + first + "}");
   const auto cold = client.read_line();
   ASSERT_TRUE(cold);
   EXPECT_TRUE(contains(*cold, R"("ok":true)")) << *cold;
 
-  client.send_line(std::string(R"({"id":"warm","instance":)") + kInstance +
-                   "}");
+  client.send_line(R"({"id":"warm","instance":)" + first + "}");
   const auto warm = client.read_line();
   ASSERT_TRUE(warm);
 
@@ -804,16 +812,26 @@ TEST_F(ServeServerTest, ResultCacheAnswersDuplicatesAndCountsThem) {
   EXPECT_EQ(fields_after(*cold), fields_after(*warm)) << *cold << "\n"
                                                       << *warm;
 
+  client.send_line(R"({"id":"perm","instance":)" + permuted + "}");
+  const auto perm = client.read_line();
+  ASSERT_TRUE(perm);
+  std::string expected;
+  result_jsonl_fields(
+      make_solver("graham:lpt")->solve(instance_from_jsonl(permuted)), {},
+      expected);
+  EXPECT_EQ(fields_after(*perm), expected.substr(1) + "}") << *perm;
+  EXPECT_NE(fields_after(*perm), fields_after(*cold)) << *perm;
+
   client.send_line(R"({"id":"s","statsz":true})");
   const auto statsz = client.read_line();
   ASSERT_TRUE(statsz);
   EXPECT_TRUE(contains(*statsz, R"("cache_hits":1)")) << *statsz;
-  EXPECT_TRUE(contains(*statsz, R"("cache_misses":1)")) << *statsz;
+  EXPECT_TRUE(contains(*statsz, R"("cache_misses":2)")) << *statsz;
   EXPECT_FALSE(contains(*statsz, R"("cache_bytes":0)")) << *statsz;
 
   const ServeCounters counters = server.counters();
   EXPECT_EQ(counters.cache_hits, 1u);
-  EXPECT_EQ(counters.cache_misses, 1u);
+  EXPECT_EQ(counters.cache_misses, 2u);
   EXPECT_GT(counters.cache_bytes, 0u);
   server.shutdown();
 }

@@ -1,6 +1,6 @@
 // Tests for the storage tier beyond the wire format itself
 // (storage/canonical.hpp, storage/result_cache.hpp, storage/shm_store.hpp):
-// cache-key canonicalization properties, bit-identical cache hits (always
+// cache-key properties over input order, bit-identical cache hits (always
 // audited -- see kAuditEnv below), insertion exemptions, the raw seqlock
 // table, shm publish/attach/republish under concurrency, and the
 // solve_stream cache integration.
@@ -56,9 +56,17 @@ std::string full_jsonl(const SolveResult& result) {
 
 CacheKey key_of(const Instance& inst, std::string_view spec,
                 const SolveOptions& options = {}) {
-  const std::vector<TaskId> order = storage::canonical_order(inst);
-  return storage::cache_key(inst, order, spec, options);
+  return storage::cache_key(inst, spec, options);
 }
+
+/// Two orders of one task multiset, tied in p (line 1 and line 2 of the
+/// cache-folding reproduction): every spec below solves them differently.
+const Instance kTiedFirst = make_instance({5, 5, 3, 3, 2, 4, 4},
+                                          {1, 9, 3, 7, 2, 8, 1}, 2);
+const Instance kTiedSecond = make_instance({5, 5, 3, 3, 2, 4, 4},
+                                           {9, 1, 7, 3, 2, 1, 8}, 2);
+const char* const kTiedSpecs[] = {"graham:lpt", "sbo:lpt,delta=1",
+                                  "rls:input,delta=3", "rls:lpt,delta=3"};
 
 /// A mixed bag of instances worth caching: several shapes, one per line.
 std::vector<Instance> cache_fixture_instances() {
@@ -79,12 +87,16 @@ TEST(CanonicalKey, IsDeterministic) {
   EXPECT_EQ(key_of(inst, "graham:lpt"), key_of(inst, "graham:lpt"));
 }
 
-TEST(CanonicalKey, IsInvariantUnderTaskRelabeling) {
-  // Independent tasks are interchangeable labels: the same multiset of
-  // (p, s) pairs in any order must key identically.
+TEST(CanonicalKey, PermutedTasksKeyDifferently) {
+  // Task ids are part of the input: solvers break ties by them, and
+  // rls:input schedules in their order. The same multiset of (p, s) pairs
+  // in another order is another input and must key differently.
   const Instance a = make_instance({9, 1, 2, 7}, {1, 8, 9, 3}, 2);
   const Instance b = make_instance({2, 7, 9, 1}, {9, 3, 1, 8}, 2);
-  EXPECT_EQ(key_of(a, "graham:lpt"), key_of(b, "graham:lpt"));
+  EXPECT_NE(key_of(a, "graham:lpt"), key_of(b, "graham:lpt"));
+  for (const char* spec : kTiedSpecs) {
+    EXPECT_NE(key_of(kTiedFirst, spec), key_of(kTiedSecond, spec)) << spec;
+  }
 }
 
 TEST(CanonicalKey, SeparatesEverythingThatChangesASolve) {
@@ -132,8 +144,7 @@ TEST(CanonicalKey, DeadlineAndCancelAreDeliberatelyNotKeyed) {
 
 TEST(CanonicalKey, DagInstancesKeepTheirIdentity) {
   // Precedence makes task ids structural: the same weights under
-  // different edges must key differently, and canonical order must be the
-  // identity (no re-sorting of DAG nodes).
+  // different edges must key differently.
   std::vector<Task> tasks = {{3, 1}, {1, 2}, {2, 3}};
   Dag chain(3);
   chain.add_edge(0, 1);
@@ -144,12 +155,6 @@ TEST(CanonicalKey, DagInstancesKeepTheirIdentity) {
   const Instance a(tasks, 2, chain);
   const Instance b(tasks, 2, fork);
   EXPECT_NE(key_of(a, "graham:list"), key_of(b, "graham:list"));
-
-  const std::vector<TaskId> order = storage::canonical_order(a);
-  ASSERT_EQ(order.size(), 3u);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    EXPECT_EQ(order[k], static_cast<TaskId>(k));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -181,24 +186,31 @@ TEST(SolveCache, ExactDuplicateHitsAreBitIdenticalAcrossSpecs) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-TEST(SolveCache, PermutedDuplicatesShareOneEntry) {
-  // Insert under one labeling, hit under another: the remapped schedule
-  // must cover the permuted instance's ids (the audit initializer above
-  // re-validates it) and reproduce the same objectives.
-  SolveCache cache;
-  const std::string spec = "sbo:lpt,delta=3/2";
-  const std::unique_ptr<Solver> solver = make_solver(spec);
-  const Instance original = make_instance({9, 1, 2, 7, 5}, {1, 8, 9, 3, 4}, 2);
-  const Instance permuted = make_instance({5, 7, 2, 1, 9}, {4, 3, 9, 8, 1}, 2);
-  SolveOptions options;
+TEST(SolveCache, TiedPermutationMissesUntilItsOwnInsert) {
+  // The second order of a tied instance is another input with another
+  // answer: after the first order's insert it must miss, and after its own
+  // insert it must hit with exactly its own cold result.
+  for (const char* spec : kTiedSpecs) {
+    SolveCache cache;
+    const std::unique_ptr<Solver> solver = make_solver(spec);
+    const SolveOptions options;
+    const SolveResult first = solver->solve(kTiedFirst, options);
+    const SolveResult second = solver->solve(kTiedSecond, options);
+    ASSERT_NE(full_jsonl(first), full_jsonl(second)) << spec;
 
-  cache.insert(original, spec, options, solver->solve(original, options));
-  const std::optional<SolveResult> warm = cache.lookup(permuted, spec, options);
-  ASSERT_TRUE(warm.has_value());
-  const SolveResult cold = solver->solve(permuted, options);
-  EXPECT_EQ(cold.objectives.cmax, warm->objectives.cmax);
-  EXPECT_EQ(cold.objectives.mmax, warm->objectives.mmax);
-  ASSERT_EQ(warm->schedule.n(), permuted.n());
+    cache.insert(kTiedFirst, spec, options, first);
+    EXPECT_FALSE(cache.lookup(kTiedSecond, spec, options).has_value())
+        << spec;
+    cache.insert(kTiedSecond, spec, options, second);
+    const std::optional<SolveResult> warm_second =
+        cache.lookup(kTiedSecond, spec, options);
+    ASSERT_TRUE(warm_second.has_value()) << spec;
+    EXPECT_EQ(full_jsonl(*warm_second), full_jsonl(second)) << spec;
+    const std::optional<SolveResult> warm_first =
+        cache.lookup(kTiedFirst, spec, options);
+    ASSERT_TRUE(warm_first.has_value()) << spec;
+    EXPECT_EQ(full_jsonl(*warm_first), full_jsonl(first)) << spec;
+  }
 }
 
 TEST(SolveCache, DeadlineSolvesAreNeverInserted) {

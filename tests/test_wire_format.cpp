@@ -1,15 +1,17 @@
-// Tests for the binary columnar wire format (storage/wire_format.hpp):
+// Tests for the shm store's segment layout (storage/wire_format.hpp):
 // lossless round-trips across every generator family (including DAGs),
 // canonical-bytes fixpoint, result-record fidelity against the JSONL wire,
-// and strict rejection of hostile bytes (truncations, bit flips, format
-// mix-ups) -- errors, never UB.
+// and strict rejection of hostile bytes (truncations, bit flips, bad
+// magic, version and kind skew) -- errors, never UB.
 #include "storage/wire_format.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/dag_generators.hpp"
@@ -45,6 +47,31 @@ std::vector<Instance> family_instances() {
   return out;
 }
 
+/// Views `bytes` from an 8-aligned copy, as a shm mapping would present
+/// them, and materializes every record. Without the copy InstanceView
+/// rejects the buffer for its alignment before any format check runs.
+std::vector<Instance> materialize_all(std::string_view bytes) {
+  std::vector<std::uint64_t> aligned(bytes.size() / 8 + 1);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  const wire::InstanceView view(
+      {reinterpret_cast<const char*>(aligned.data()), bytes.size()});
+  std::vector<Instance> out;
+  for (std::size_t i = 0; i < view.count(); ++i) {
+    out.push_back(view.materialize(i));
+  }
+  return out;
+}
+
+/// The error materialize_all() raises for `bytes`, or "" if it accepts.
+std::string rejection_of(std::string_view bytes) {
+  try {
+    materialize_all(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 std::string jsonl_of(const std::vector<Instance>& instances) {
   std::string text;
   for (const Instance& inst : instances) {
@@ -57,7 +84,7 @@ std::string jsonl_of(const std::vector<Instance>& instances) {
 TEST(WireFormatInstances, RoundTripsEveryFamilyLosslessly) {
   const std::vector<Instance> original = family_instances();
   const std::string blob = wire::encode_instances(original);
-  const std::vector<Instance> decoded = wire::decode_instances(blob);
+  const std::vector<Instance> decoded = materialize_all(blob);
   ASSERT_EQ(decoded.size(), original.size());
   // Bit-identical: the JSONL rendering covers every field an instance has
   // (m, weights, edges in emission order).
@@ -68,47 +95,39 @@ TEST(WireFormatInstances, RoundTripsEveryFamilyLosslessly) {
 
 TEST(WireFormatInstances, EmptyContainerRoundTrips) {
   const std::string blob = wire::encode_instances({});
-  EXPECT_TRUE(has_binary_wire_magic(blob));
-  EXPECT_EQ(wire::decode_instances(blob).size(), 0u);
-  EXPECT_EQ(wire::encode_instances(wire::decode_instances(blob)), blob);
+  EXPECT_EQ(blob.substr(0, 8), "STSCHDB1");
+  EXPECT_EQ(materialize_all(blob).size(), 0u);
+  EXPECT_EQ(wire::encode_instances(materialize_all(blob)), blob);
 }
 
-TEST(WireFormatInstances, ViewExposesColumnsWithoutMaterializing) {
+TEST(WireFormatInstances, ViewRequiresAnAlignedBuffer) {
+  // The view reads its columns in place, so it takes only what a mapping
+  // guarantees: an 8-aligned buffer. One byte off, the same bytes are
+  // refused before any format check.
   const std::vector<Instance> original = family_instances();
   const std::string blob = wire::encode_instances(original);
-  const wire::InstanceView view(blob);
-  ASSERT_EQ(view.count(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(view.m(i), original[i].m());
-    EXPECT_EQ(view.has_dag(i), original[i].has_precedence());
-    ASSERT_EQ(view.task_p(i).size(), original[i].n());
-    for (std::size_t t = 0; t < original[i].n(); ++t) {
-      EXPECT_EQ(view.task_p(i)[t], original[i].task(static_cast<TaskId>(t)).p);
-      EXPECT_EQ(view.task_s(i)[t], original[i].task(static_cast<TaskId>(t)).s);
-    }
-    EXPECT_EQ(instance_to_jsonl(view.materialize(i)),
-              instance_to_jsonl(original[i]));
+  std::vector<std::uint64_t> buffer(blob.size() / 8 + 2);
+  char* const base = reinterpret_cast<char*>(buffer.data());
+  std::memcpy(base, blob.data(), blob.size());
+  EXPECT_EQ(wire::InstanceView({base, blob.size()}).count(), original.size());
+  std::memcpy(base + 1, blob.data(), blob.size());
+  try {
+    wire::InstanceView misaligned({base + 1, blob.size()});
+    FAIL() << "misaligned buffer accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not 8-byte aligned"),
+              std::string::npos)
+        << e.what();
   }
 }
 
-TEST(WireFormat, JsonlParserNamesTheBinaryWireOnMixup) {
-  const std::string blob = wire::encode_instances(family_instances());
-  try {
-    instance_from_jsonl(blob, 3);
-    FAIL() << "binary bytes accepted as JSONL";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("binary wire"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
-  }
-}
-
-TEST(WireFormat, BinaryReaderNamesJsonlOnMixup) {
-  try {
-    wire::decode_instances("{\"m\":1,\"tasks\":[[1,1]]}\n");
-    FAIL() << "JSONL bytes accepted as binary";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("JSONL"), std::string::npos);
-  }
+TEST(WireFormat, RejectsBadMagic) {
+  // A JSONL line is not a segment: it fails on its first byte.
+  EXPECT_NE(rejection_of("{\"m\":1,\"tasks\":[[1,1]]}\n").find("bad magic"),
+            std::string::npos);
+  std::string blob = wire::encode_instances(family_instances());
+  blob[7] = '2';
+  EXPECT_NE(rejection_of(blob).find("bad magic"), std::string::npos);
 }
 
 TEST(WireFormat, RejectsKindConfusion) {
@@ -119,14 +138,8 @@ TEST(WireFormat, RejectsKindConfusion) {
   std::memcpy(blob.data() + 12, &kind, sizeof kind);
   const std::uint32_t header_crc = wire::crc32(blob.data(), 36);
   std::memcpy(blob.data() + 36, &header_crc, sizeof header_crc);
-  try {
-    wire::decode_instances(blob);
-    FAIL() << "kind 2 accepted as an instance container";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown payload kind 2"),
-              std::string::npos)
-        << e.what();
-  }
+  const std::string error = rejection_of(blob);
+  EXPECT_NE(error.find("unknown payload kind 2"), std::string::npos) << error;
 }
 
 TEST(WireFormatHostile, EveryTruncationIsAnError) {
@@ -134,9 +147,9 @@ TEST(WireFormatHostile, EveryTruncationIsAnError) {
   few.resize(8, Instance({}, 1));
   const std::string blob = wire::encode_instances(few);
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_THROW(wire::decode_instances(blob.substr(0, len)),
-                 std::runtime_error)
-        << "prefix of " << len << " bytes accepted";
+    const std::string error = rejection_of(blob.substr(0, len));
+    EXPECT_FALSE(error.empty()) << "prefix of " << len << " bytes accepted";
+    EXPECT_EQ(error.find("aligned"), std::string::npos) << error;
   }
 }
 
@@ -148,8 +161,10 @@ TEST(WireFormatHostile, EverySingleBitFlipIsDetected) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mutated = blob;
       mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      EXPECT_THROW(wire::decode_instances(mutated), std::runtime_error)
+      const std::string error = rejection_of(mutated);
+      EXPECT_FALSE(error.empty())
           << "flip at byte " << byte << " bit " << bit << " accepted";
+      EXPECT_EQ(error.find("aligned"), std::string::npos) << error;
     }
   }
 }
@@ -161,12 +176,8 @@ TEST(WireFormatHostile, RejectsVersionSkew) {
   // Re-stamp the header CRC so the version check itself is what fires.
   const std::uint32_t crc = wire::crc32(blob.data(), 36);
   std::memcpy(blob.data() + 36, &crc, 4);
-  try {
-    wire::decode_instances(blob);
-    FAIL() << "future version accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-  }
+  const std::string error = rejection_of(blob);
+  EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // exposes to untrusted bytes: three JSONL readers on the one JSON cursor
 // (common/json_cursor.hpp) -- instance lines (common/io.hpp), stream error
 // records (core/stream.hpp) and serve requests (serve/protocol.hpp) --
-// and the binary wire (storage/wire_format.hpp).
+// and the shm store's segment layout (storage/wire_format.hpp).
 //
 // Contract under fuzzing:
 //   * instance_from_jsonl() either returns a valid Instance or throws
@@ -15,13 +15,12 @@
 //   * stream_error_from_jsonl() and serve_request_from_jsonl() (the
 //     storesched_serve request line, embedded instance included) hold the
 //     same reject-or-fixpoint contract.
-//   * The binary wire holds it too, byte-for-byte: decode_instances() /
-//     decode_result_payload() either parse or throw std::runtime_error
-//     (truncations, bit flips, hostile section tables are errors, never
-//     UB), accepted payloads are a decode -> encode -> decode fixpoint,
-//     and the zero-copy InstanceView (the mmap/shm read path) accepts
-//     exactly what decode_instances() accepts and materializes equal
-//     instances.
+//   * The store segment holds it too, byte-for-byte: InstanceView (the
+//     shm read path) and decode_result_payload() either accept or throw
+//     std::runtime_error (truncations, bit flips, hostile section tables
+//     are errors, never UB); an accepted segment re-encodes to its own
+//     bytes, and an accepted payload is a decode -> encode -> decode
+//     fixpoint.
 //
 // Two build modes (CMakeLists.txt):
 //   * libFuzzer (-DSTORESCHED_LIBFUZZER=ON, Clang): the CI fuzz job runs a
@@ -37,6 +36,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/io.hpp"
@@ -72,83 +72,44 @@ bool instances_equal(const Instance& a, const Instance& b) {
   return true;
 }
 
-/// The binary container (storage/wire_format.hpp): every decoder over the
-/// input bytes, a canonical-bytes fixpoint for whatever they accept, and
-/// owning-decoder/zero-copy-view agreement.
-void fuzz_binary(const std::string& line) {
-  // InstanceView is the mmap/shm read path and requires 8-aligned bytes
-  // (pages are); give the fuzz input the same guarantee.
-  std::vector<std::uint64_t> aligned(line.size() / 8 + 1);
-  std::memcpy(aligned.data(), line.data(), line.size());
-  const std::string_view bytes(reinterpret_cast<const char*>(aligned.data()),
-                               line.size());
+/// Views `bytes` from an 8-aligned copy (InstanceView needs what shm
+/// mappings guarantee) and materializes every record.
+std::vector<Instance> materialize_all(std::string_view bytes) {
+  std::vector<std::uint64_t> aligned(bytes.size() / 8 + 1);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  const storesched::wire::InstanceView view(
+      {reinterpret_cast<const char*>(aligned.data()), bytes.size()});
+  std::vector<Instance> out;
+  out.reserve(view.count());
+  for (std::size_t i = 0; i < view.count(); ++i) {
+    out.push_back(view.materialize(i));
+  }
+  return out;
+}
 
-  // Instance containers: decode -> encode -> decode fixpoint, and the
-  // zero-copy view must accept exactly what the owning decoder accepts.
+/// The store segment (storage/wire_format.hpp): the view over the input
+/// bytes, and for whatever it accepts a byte fixpoint -- re-encoding the
+/// materialized instances reproduces the input, so they view back equal.
+void fuzz_binary(const std::string& line) {
   bool decoded_ok = false;
   std::vector<Instance> decoded;
   try {
-    decoded = storesched::wire::decode_instances(bytes);
+    decoded = materialize_all(line);
     decoded_ok = true;
-  } catch (const std::runtime_error&) {
-    // rejection is the expected outcome for hostile bytes
-  } catch (const std::exception& e) {
-    die("binary instance decode (only std::runtime_error is allowed)", e);
-  }
-  bool view_ok = false;
-  try {
-    const storesched::wire::InstanceView view(bytes);
-    view_ok = true;
-    if (decoded_ok) {
-      if (view.count() != decoded.size()) {
-        std::fprintf(stderr, "fuzz_jsonl: InstanceView count %zu != %zu\n",
-                     view.count(), decoded.size());
-        std::abort();
-      }
-      for (std::size_t i = 0; i < decoded.size(); ++i) {
-        if (!instances_equal(view.materialize(i), decoded[i])) {
-          std::fprintf(stderr,
-                       "fuzz_jsonl: InstanceView materialize(%zu) mismatch\n",
-                       i);
-          std::abort();
-        }
-      }
-    }
   } catch (const std::runtime_error&) {
     // rejection is the expected outcome for hostile bytes
   } catch (const std::exception& e) {
     die("InstanceView (only std::runtime_error is allowed)", e);
   }
-  if (decoded_ok != view_ok) {
-    std::fprintf(stderr,
-                 "fuzz_jsonl: decode_instances %s but InstanceView %s\n",
-                 decoded_ok ? "accepted" : "rejected",
-                 view_ok ? "accepted" : "rejected");
+  if (decoded_ok && storesched::wire::encode_instances(decoded) != line) {
+    std::fprintf(stderr, "fuzz_jsonl: instance container not a fixpoint\n");
     std::abort();
-  }
-  if (decoded_ok) {
-    try {
-      const std::string canon = storesched::wire::encode_instances(decoded);
-      const std::vector<Instance> back =
-          storesched::wire::decode_instances(canon);
-      bool equal = back.size() == decoded.size();
-      for (std::size_t i = 0; equal && i < back.size(); ++i) {
-        equal = instances_equal(back[i], decoded[i]);
-      }
-      if (!equal || storesched::wire::encode_instances(back) != canon) {
-        std::fprintf(stderr,
-                     "fuzz_jsonl: binary instance container not a fixpoint\n");
-        std::abort();
-      }
-    } catch (const std::exception& e) {
-      die("binary instance re-encode of an accepted container", e);
-    }
   }
 
   // Bare result-payload blobs (the result cache's slot format).
   try {
     const storesched::SolveResult result =
-        storesched::wire::decode_result_payload(bytes);
+        storesched::wire::decode_result_payload(line);
     const std::string canon = storesched::wire::encode_result_payload(result);
     const storesched::SolveResult back =
         storesched::wire::decode_result_payload(canon);

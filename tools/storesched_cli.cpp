@@ -35,7 +35,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,9 +78,6 @@ struct CliOptions {
   std::string expect_path;
 
   // Storage tier (docs/WIRE_FORMAT.md).
-  storage::WireFormatKind format = storage::WireFormatKind::kAuto;
-  bool convert = false;          // `convert` subcommand
-  std::string convert_to = "binary";  // --to=binary|jsonl
   std::string store_name;        // --store=NAME: solve from the shm store
   std::string store_publish;     // --store-publish=NAME
   std::string store_info;        // --store-info=NAME
@@ -96,9 +92,8 @@ void print_usage(std::ostream& os) {
   os << "usage: storesched_cli --spec=SPEC [options] < in.jsonl > out.jsonl\n"
         "       storesched_cli --gen=COUNT [--gen-n=N] [--gen-m=M]\n"
         "                      [--gen-kind=KIND | --gen-dag=FAMILY] [--seed=S]\n"
-        "       storesched_cli convert [--to=binary|jsonl] < in > out\n"
         "       storesched_cli --check --spec=SPEC --expect=RESULTS.jsonl\n"
-        "       storesched_cli --store-publish=NAME < instances\n"
+        "       storesched_cli --store-publish=NAME < instances.jsonl\n"
         "       storesched_cli --store-info=NAME | --store-unlink=NAME\n"
         "       storesched_cli --list-specs\n"
         "\n"
@@ -142,10 +137,6 @@ void print_usage(std::ostream& os) {
         "or --gen-dag in {layered, random, forkjoin, cholesky, fft, soc}.\n"
         "\n"
         "Storage (docs/WIRE_FORMAT.md):\n"
-        "  --format=F         instance input wire: auto (default, sniffs the\n"
-        "                     magic bytes), jsonl, or binary\n"
-        "  convert --to=F     re-encode the input instances as binary\n"
-        "                     (default) or jsonl; lossless both ways\n"
         "  --store-publish=N  publish the input instances into the named\n"
         "                     shared-memory store (atomic epoch swap;\n"
         "                     attached readers are never torn)\n"
@@ -155,9 +146,9 @@ void print_usage(std::ostream& os) {
         "                     result-cache counters\n"
         "  --store-unlink=N   remove every segment of the store, including\n"
         "                     orphans left by killed writers\n"
-        "  --cache            canonicalization-keyed result cache for solve\n"
-        "                     mode; shared when --store is set, private\n"
-        "                     otherwise\n"
+        "  --cache            result cache for solve mode, keyed on the\n"
+        "                     instance as given (exact duplicates hit);\n"
+        "                     shared when --store is set, private otherwise\n"
         "\n"
         "Check mode: re-solves the input instances in-process (solve_batch)\n"
         "and diffs feasibility + (Cmax, Mmax) against --expect; exits 1 on\n"
@@ -272,16 +263,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.check = true;
     } else if (arg.rfind("--expect=", 0) == 0) {
       cli.expect_path = value_of("--expect=");
-    } else if (arg == "convert") {
-      cli.convert = true;
-    } else if (arg.rfind("--to=", 0) == 0) {
-      cli.convert_to = value_of("--to=");
-      if (cli.convert_to != "binary" && cli.convert_to != "jsonl") {
-        throw std::runtime_error("--to must be binary or jsonl, got \"" +
-                                 cli.convert_to + "\"");
-      }
-    } else if (arg.rfind("--format=", 0) == 0) {
-      cli.format = storage::wire_format_from_string(value_of("--format="));
     } else if (arg.rfind("--store=", 0) == 0) {
       cli.store_name = value_of("--store=");
     } else if (arg.rfind("--store-publish=", 0) == 0) {
@@ -335,37 +316,20 @@ int run_gen(const CliOptions& cli, std::ostream& out) {
   return 0;
 }
 
-/// Slurps every instance from `in`, honoring --format (auto sniffs the
-/// magic bytes). The converter and the store publisher both need the full
-/// set in memory: the binary container's section layout is global.
-std::vector<Instance> read_instances(const CliOptions& cli, std::istream& in) {
+/// Reads every JSONL instance from `in`. The store publisher and --check
+/// both need the full set in memory: a store segment's section layout is
+/// global, and solve_batch takes a vector.
+std::vector<Instance> read_instances(std::istream& in) {
   std::vector<Instance> instances;
-  const auto source = storage::open_instance_source(in, cli.format);
-  while (std::shared_ptr<const Instance> inst = source->next()) {
+  JsonlInstanceSource source(in);
+  while (std::shared_ptr<const Instance> inst = source.next()) {
     instances.push_back(*inst);
   }
   return instances;
 }
 
-int run_convert(const CliOptions& cli, std::istream& in, std::ostream& out) {
-  const std::vector<Instance> instances = read_instances(cli, in);
-  if (cli.convert_to == "binary") {
-    const std::string bytes = wire::encode_instances(instances);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  } else {
-    for (const Instance& inst : instances) {
-      out << instance_to_jsonl(inst) << '\n';
-    }
-  }
-  out.flush();
-  if (!out) throw std::runtime_error("writing converted instances failed");
-  std::cerr << "[storesched_cli] convert: " << instances.size()
-            << " instances -> " << cli.convert_to << "\n";
-  return 0;
-}
-
 int run_store_publish(const CliOptions& cli, std::istream& in) {
-  const std::vector<Instance> instances = read_instances(cli, in);
+  const std::vector<Instance> instances = read_instances(in);
   storage::ShmStore store = storage::ShmStore::create(cli.store_publish);
   store.publish(wire::encode_instances(instances));
   const storage::ShmStore::Info info = store.info();
@@ -504,10 +468,9 @@ int run_solve(const CliOptions& cli, std::istream& in, std::ostream& out) {
 
   StreamStats stats;
   if (!cli.journal_path.empty()) {
-    if (store || cli.format == storage::WireFormatKind::kBinary) {
+    if (store) {
       throw std::runtime_error(
-          "--journal resumes by re-reading JSONL files (drop --store / "
-          "--format=binary)");
+          "--journal resumes by re-reading JSONL files (drop --store)");
     }
     // Journaled path: the journal layer owns file lifecycles (it truncates
     // outputs to the checkpoint on resume), so it takes paths, not streams.
@@ -557,7 +520,7 @@ int run_solve(const CliOptions& cli, std::istream& in, std::ostream& out) {
     const std::unique_ptr<InstanceSource> source =
         store ? std::unique_ptr<InstanceSource>(
                     std::make_unique<storage::ShmInstanceSource>(*store))
-              : storage::open_instance_source(in, cli.format);
+              : std::make_unique<JsonlInstanceSource>(in);
     JsonlResultSink sink(out, {.include_schedule = cli.include_schedule});
     stats = solve_stream(*solver, *source, sink, solve_options_from(cli),
                          stream);
@@ -636,7 +599,7 @@ int run_check(const CliOptions& cli, std::istream& in) {
 
   // Re-solve in-process through the batch API (itself a solve_stream
   // wrapper, but an independent path through VectorSink + solve_batch).
-  const std::vector<Instance> instances = read_instances(cli, in);
+  const std::vector<Instance> instances = read_instances(in);
   const std::vector<SolveResult> results = solve_batch(
       cli.spec, instances, solve_options_from(cli), {.threads = cli.threads});
 
@@ -709,25 +672,16 @@ int main(int argc, char** argv) {
     }
     if (!cli.store_unlink.empty()) return run_store_unlink(cli);
     if (!cli.store_info.empty()) return run_store_info(cli, std::cout);
-    if (cli.convert || !cli.store_publish.empty()) {
+    if (!cli.store_publish.empty()) {
       std::ifstream in_file;
       if (!cli.input_path.empty()) {
-        in_file.open(cli.input_path, std::ios::binary);
+        in_file.open(cli.input_path);
         if (!in_file) {
           throw std::runtime_error("cannot read --input=" + cli.input_path);
         }
       }
-      std::istream& in = cli.input_path.empty() ? std::cin : in_file;
-      if (!cli.store_publish.empty()) return run_store_publish(cli, in);
-      std::ofstream out_file;
-      if (!cli.output_path.empty()) {
-        out_file.open(cli.output_path, std::ios::binary);
-        if (!out_file) {
-          throw std::runtime_error("cannot write --output=" + cli.output_path);
-        }
-      }
-      return run_convert(cli, in,
-                         cli.output_path.empty() ? std::cout : out_file);
+      return run_store_publish(cli,
+                               cli.input_path.empty() ? std::cin : in_file);
     }
     if (cli.spec.empty()) {
       print_usage(std::cerr);

@@ -41,7 +41,7 @@ struct ServeCli {
   ServeOptions options;
   std::string router_spec = "rls:bottom,delta=3;sbo:lpt,delta=3/2";
   std::string store_name;  ///< shm instance store to attach; empty = none
-  bool cache = false;      ///< enable the canonicalization result cache
+  bool cache = false;      ///< enable the result cache
   bool help = false;
 };
 
@@ -71,8 +71,9 @@ void print_usage(std::ostream& os) {
         "  --store=NAME       attach the shm instance store NAME (published\n"
         "                     by storesched_cli --store-publish); enables\n"
         "                     {\"ref\":N} solve-by-reference requests\n"
-        "  --cache            canonicalization-keyed result cache; shared\n"
-        "                     across processes when --store is set, private\n"
+        "  --cache            result cache keyed on the instance as given\n"
+        "                     (exact duplicates hit); shared across\n"
+        "                     processes when --store is set, private\n"
         "                     otherwise\n"
         "\n"
         "Protocol, SLO and priority fields, fairness model: docs/SERVING.md.\n"
