@@ -4,6 +4,7 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <tuple>
 
 namespace storesched {
 
@@ -24,9 +25,12 @@ std::vector<TaskId> priority_order(const Instance& inst,
   std::vector<TaskId> order(inst.n());
   std::iota(order.begin(), order.end(), 0);
 
+  // Ties break by id, which yields the stable order without a merge buffer.
   const auto by_key = [&](auto key) {
-    std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      return key(a) < key(b);
+    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+      const auto ka = key(a);
+      const auto kb = key(b);
+      return ka < kb || (ka == kb && a < b);
     });
   };
 
@@ -59,6 +63,31 @@ std::vector<TaskId> priority_order(const Instance& inst,
 }
 
 Schedule graham_list_schedule(const Instance& inst, PriorityPolicy policy) {
+  if (inst.has_precedence()) return graham_event_schedule(inst, policy);
+  // Every independent task is ready at t = 0, so each one, in priority
+  // order, goes to the processor the simulation would fill next: the least
+  // (free time, depth, id). Depth counts the zero-length tasks a processor
+  // has just run at its free time; the simulation fills every processor
+  // idle at t before it releases one whose task had p = 0.
+  using Slot = std::tuple<Time, std::size_t, ProcId>;
+  std::vector<Slot> idle;
+  idle.reserve(static_cast<std::size_t>(inst.m()));
+  for (ProcId q = 0; q < inst.m(); ++q) idle.emplace_back(0, 0, q);
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> slots(
+      std::greater<>{}, std::move(idle));
+
+  Schedule sched(inst);
+  for (const TaskId i : priority_order(inst, policy)) {
+    const auto [t, depth, q] = slots.top();
+    slots.pop();
+    sched.assign(i, q, t);
+    const Time p = inst.task(i).p;
+    slots.emplace(t + p, p > 0 ? 0 : depth + 1, q);
+  }
+  return sched;
+}
+
+Schedule graham_event_schedule(const Instance& inst, PriorityPolicy policy) {
   const std::vector<TaskId> order = priority_order(inst, policy);
   std::vector<std::size_t> rank(inst.n());
   for (std::size_t pos = 0; pos < order.size(); ++pos) {

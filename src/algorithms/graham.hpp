@@ -1,10 +1,13 @@
 // Graham List Scheduling for precedence-constrained instances.
 //
 // The classical 2 - 1/m heuristic (paper reference [8]) and the baseline
-// RLS degenerates to when the memory cap is infinite. Implemented as an
-// event-driven simulation: whenever a processor is free and a task is ready,
-// the highest-priority ready task starts on the earliest-available
-// processor. Several standard priority policies are provided.
+// RLS degenerates to when the memory cap is infinite: whenever a processor
+// is free and a task is ready, the highest-priority ready task starts on
+// the earliest-available processor. Precedence instances run an
+// event-driven simulation; independent instances place each task directly
+// on the processor that frees first, with the simulation's release order
+// (docs/ALGORITHMS.md, "Graham list scheduling"). Several standard
+// priority policies are provided.
 #pragma once
 
 #include <functional>
@@ -36,6 +39,11 @@ std::vector<TaskId> priority_order(const Instance& inst, PriorityPolicy policy);
 /// Ratio 2 - 1/m on the makespan for any priority policy [Graham 1969].
 Schedule graham_list_schedule(const Instance& inst,
                               PriorityPolicy policy = PriorityPolicy::kInputOrder);
+
+/// The same schedule from the time-event simulation, on any instance:
+/// graham_list_schedule's DAG path, and its oracle on independent ones.
+Schedule graham_event_schedule(const Instance& inst,
+                               PriorityPolicy policy = PriorityPolicy::kInputOrder);
 
 /// SPT list schedule on independent tasks: optimal for the sum of
 /// completion times on identical processors (used as the Section 5.2

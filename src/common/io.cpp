@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -12,45 +11,6 @@
 #include "common/json_cursor.hpp"
 
 namespace storesched {
-
-struct CsvWriter::Impl {
-  std::ofstream out;
-};
-
-CsvWriter::CsvWriter(const std::string& path) : impl_(new Impl) {
-  impl_->out.open(path);
-  if (!impl_->out) {
-    delete impl_;
-    throw std::runtime_error("CsvWriter: cannot open " + path);
-  }
-}
-
-CsvWriter::~CsvWriter() { delete impl_; }
-
-namespace {
-
-std::string csv_escape(const std::string& field) {
-  const bool needs_quote =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quote) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) impl_->out << ',';
-    impl_->out << csv_escape(fields[i]);
-  }
-  impl_->out << '\n';
-}
 
 std::string markdown_table(const std::vector<std::string>& header,
                            const std::vector<std::vector<std::string>>& rows) {

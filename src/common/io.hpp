@@ -1,7 +1,7 @@
-// Reporting helpers: CSV tables, Markdown tables, Graphviz DOT export.
+// Reporting helpers: Markdown tables, Graphviz DOT export.
 //
-// The bench harness prints every regenerated figure as (a) a human-readable
-// Markdown table on stdout and (b) optionally a CSV file for plotting.
+// The bench harness prints every regenerated figure as a human-readable
+// Markdown table on stdout.
 #pragma once
 
 #include <iosfwd>
@@ -13,22 +13,6 @@
 #include "common/schedule.hpp"
 
 namespace storesched {
-
-/// Minimal CSV writer: quotes fields containing separators/quotes/newlines.
-class CsvWriter {
- public:
-  /// Opens `path` for writing; throws std::runtime_error on failure.
-  explicit CsvWriter(const std::string& path);
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  void write_row(const std::vector<std::string>& fields);
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
 
 /// Renders rows as a GitHub-flavoured Markdown table. `header` supplies the
 /// column names; all rows must have header.size() fields.

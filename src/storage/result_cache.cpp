@@ -133,11 +133,14 @@ std::optional<std::string> CacheTable::lookup(const CacheKey& key) const {
   return std::nullopt;
 }
 
+bool CacheTable::admit(std::size_t payload_size) {
+  if (payload_size <= payload_capacity()) return true;
+  header_[kHdrSkipped].fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
 bool CacheTable::insert(const CacheKey& key, std::string_view payload) {
-  if (payload.size() > payload_words_ * 8) {
-    header_[kHdrSkipped].fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (!admit(payload.size())) return false;
   const std::size_t mask = slot_count_ - 1;
   // Preference order: a slot already holding this key, else an empty slot,
   // else the window's first slot (plain eviction). The scan is a relaxed
@@ -267,9 +270,11 @@ void SolveCache::insert(const Instance& inst, std::string_view spec,
                         const SolveResult& result) {
   if (cache_exempt(options)) return;
   // The payload carries the common fields, like the JSONL result line; the
-  // extras channels (sbo, rls, pareto) are not stored.
-  if (table_.insert(cache_key(inst, spec, options),
-                    wire::encode_result_payload(result))) {
+  // extras channels (sbo, rls, pareto) are not stored. An oversize payload
+  // is skipped before the key is hashed.
+  const std::string payload = wire::encode_result_payload(result);
+  if (!table_.admit(payload.size())) return;
+  if (table_.insert(cache_key(inst, spec, options), payload)) {
     inserts_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -81,6 +81,10 @@ class CacheTable {
   /// safe against concurrent writers in other processes.
   std::optional<std::string> lookup(const CacheKey& key) const;
 
+  /// True when a payload of `payload_size` bytes fits a slot; otherwise
+  /// counts it in stats().skipped and returns false.
+  bool admit(std::size_t payload_size);
+
   /// Stores `payload` under `key` (overwriting any colliding entry).
   /// Returns false -- counted in stats().skipped -- when the payload does
   /// not fit a slot.

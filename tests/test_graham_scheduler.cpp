@@ -1,9 +1,12 @@
-// Tests for Graham list scheduling on DAGs, the SPT schedule, priority
-// policies, and the MakespanScheduler factory.
+// Tests for Graham list scheduling on DAGs, its direct placement on
+// independent tasks against the event simulation, the SPT schedule,
+// priority policies, and the MakespanScheduler factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "algorithms/graham.hpp"
 #include "algorithms/scheduler.hpp"
@@ -15,6 +18,59 @@ namespace storesched {
 namespace {
 
 using testing::make_instance;
+
+constexpr PriorityPolicy kAllPolicies[] = {
+    PriorityPolicy::kInputOrder,      PriorityPolicy::kSpt,
+    PriorityPolicy::kLpt,             PriorityPolicy::kBottomLevel,
+    PriorityPolicy::kSmallestStorage, PriorityPolicy::kLargestStorage,
+};
+
+/// Weights in [0, p_max] x [0, s_max]: small ranges give ties and runs of
+/// zero-length tasks.
+Instance random_independent(Rng& rng, std::size_t n, int m, Time p_max,
+                            Mem s_max) {
+  std::vector<Time> p(n);
+  std::vector<Mem> s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = rng.uniform_int(0, p_max);
+    s[i] = rng.uniform_int(0, s_max);
+  }
+  return make_instance(std::move(p), std::move(s), m);
+}
+
+/// A schedule's proc and start columns, which gtest prints readably.
+std::pair<std::vector<ProcId>, std::vector<Time>> columns(const Schedule& s) {
+  return {{s.assignment().begin(), s.assignment().end()},
+          {s.starts().begin(), s.starts().end()}};
+}
+
+/// priority_order's documented contract, spelled as a stable sort.
+std::vector<TaskId> stable_priority_order(const Instance& inst,
+                                          PriorityPolicy policy) {
+  std::vector<Time> key(inst.n(), 0);
+  const std::vector<Time> bl = inst.has_precedence()
+                                   ? inst.dag().bottom_levels(inst.tasks())
+                                   : std::vector<Time>{};
+  for (std::size_t i = 0; i < inst.n(); ++i) {
+    const Task& t = inst.task(static_cast<TaskId>(i));
+    switch (policy) {
+      case PriorityPolicy::kInputOrder: break;
+      case PriorityPolicy::kSpt: key[i] = t.p; break;
+      case PriorityPolicy::kLpt: key[i] = -t.p; break;
+      case PriorityPolicy::kBottomLevel:
+        key[i] = bl.empty() ? -t.p : -bl[i];
+        break;
+      case PriorityPolicy::kSmallestStorage: key[i] = t.s; break;
+      case PriorityPolicy::kLargestStorage: key[i] = -t.s; break;
+    }
+  }
+  std::vector<TaskId> order(inst.n());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return key[static_cast<std::size_t>(a)] < key[static_cast<std::size_t>(b)];
+  });
+  return order;
+}
 
 TEST(PriorityOrder, PoliciesSortAsDocumented) {
   const Instance inst = make_instance({3, 1, 2}, {5, 9, 1}, 2);
@@ -28,6 +84,22 @@ TEST(PriorityOrder, PoliciesSortAsDocumented) {
             (std::vector<TaskId>{2, 0, 1}));
   EXPECT_EQ(priority_order(inst, PriorityPolicy::kLargestStorage),
             (std::vector<TaskId>{1, 0, 2}));
+}
+
+TEST(PriorityOrder, MatchesAStableSortOnTiedKeys) {
+  Rng rng(42);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    const Instance inst =
+        trial % 3 == 0
+            ? generate_random_dag(n + 1, 0.2, 2, {1, 2, 1, 2}, rng)
+            : random_independent(rng, n, 2, /*p_max=*/3, /*s_max=*/3);
+    for (const PriorityPolicy policy : kAllPolicies) {
+      ASSERT_EQ(priority_order(inst, policy),
+                stable_priority_order(inst, policy))
+          << "trial " << trial << ", " << to_string(policy);
+    }
+  }
 }
 
 TEST(PriorityOrder, BottomLevelUsesDag) {
@@ -44,6 +116,58 @@ TEST(GrahamList, IndependentMatchesGreedy) {
   const Schedule sched = graham_list_schedule(inst);
   EXPECT_TRUE(validate_schedule(inst, sched, {.require_timed = true}).ok);
   EXPECT_EQ(cmax(inst, sched), 5);
+}
+
+TEST(GrahamList, ZeroLengthTasksWaitForEveryIdleProcessor) {
+  // At t = 0 the simulation fills both idle processors before it releases
+  // one whose task had p = 0, so the zero-length tasks alternate. A plain
+  // (free time, id) pick would stack all five on processor 0 (Mmax 5).
+  const Instance inst = make_instance({0, 0, 0, 0, 3}, {1, 1, 1, 1, 1}, 2);
+  const Schedule sched = graham_list_schedule(inst);
+  EXPECT_EQ(columns(sched).first, (std::vector<ProcId>{0, 1, 0, 1, 0}));
+  EXPECT_EQ(columns(sched).second, (std::vector<Time>{0, 0, 0, 0, 0}));
+  EXPECT_EQ(cmax(inst, sched), 3);
+  EXPECT_EQ(mmax(inst, sched), 3);
+  EXPECT_EQ(columns(sched), columns(graham_event_schedule(inst)));
+}
+
+TEST(GrahamList, DirectPlacementMatchesTheEventSimulation) {
+  // The edges first (n = 0, m = 1, m > n, all p = 0), then random
+  // instances whose small weight ranges give ties in p and s and runs of
+  // zero-length tasks.
+  std::vector<Instance> corpus = {
+      make_instance({}, {}, 3),
+      make_instance({2, 0, 1, 0, 2}, {1, 1, 0, 2, 1}, 1),
+      make_instance({3, 0, 1}, {2, 2, 1}, 7),
+      make_instance({0, 0, 0, 0, 0, 0, 0}, {1, 0, 1, 0, 1, 0, 1}, 3),
+  };
+  Rng rng(41);
+  for (int trial = 0; trial < 1200; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 23));
+    const int m = static_cast<int>(rng.uniform_int(1, 9));
+    corpus.push_back(random_independent(rng, n, m, trial % 2 == 0 ? 2 : 10,
+                                        /*s_max=*/3));
+  }
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    for (const PriorityPolicy policy : kAllPolicies) {
+      ASSERT_EQ(columns(graham_list_schedule(corpus[k], policy)),
+                columns(graham_event_schedule(corpus[k], policy)))
+          << "instance " << k << ", " << to_string(policy);
+    }
+  }
+}
+
+TEST(GrahamList, DagInstancesRunTheEventSimulation) {
+  Rng rng(43);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 5));
+    const Instance inst = generate_random_dag(25, 0.15, m, {1, 3, 1, 3}, rng);
+    for (const PriorityPolicy policy : kAllPolicies) {
+      EXPECT_EQ(columns(graham_list_schedule(inst, policy)),
+                columns(graham_event_schedule(inst, policy)))
+          << "trial " << trial << ", " << to_string(policy);
+    }
+  }
 }
 
 TEST(GrahamList, RespectsPrecedences) {

@@ -1,10 +1,8 @@
-// Tests for reporting helpers (CSV, Markdown, DOT, text round-trip, Gantt)
+// Tests for reporting helpers (Markdown, DOT, text round-trip, Gantt)
 // and descriptive statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/gantt.hpp"
@@ -16,27 +14,6 @@ namespace storesched {
 namespace {
 
 using testing::make_instance;
-
-TEST(Csv, WritesAndEscapes) {
-  const std::string path = ::testing::TempDir() + "storesched_csv_test.csv";
-  {
-    CsvWriter csv(path);
-    csv.write_row({"a", "b,c", "d\"e"});
-    csv.write_row({"1", "2", "3"});
-  }
-  std::ifstream in(path);
-  std::string line1;
-  std::string line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,\"b,c\",\"d\"\"e\"");
-  EXPECT_EQ(line2, "1,2,3");
-  std::remove(path.c_str());
-}
-
-TEST(Csv, OpenFailureThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv"), std::runtime_error);
-}
 
 TEST(Markdown, AlignsAndValidates) {
   const std::string table =

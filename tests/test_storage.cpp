@@ -252,6 +252,27 @@ TEST(SolveCache, ArmedButIdleCancelTokensStillInsert) {
   EXPECT_EQ(cache.stats().inserts, 1u);  // unchanged
 }
 
+TEST(SolveCache, OversizePayloadsAreSkippedNotStored) {
+  // A payload wider than a slot counts one skip and stores nothing, so a
+  // later lookup misses.
+  SolveCache cache(/*slot_count=*/16, /*payload_bytes=*/64);
+  const std::string spec = "graham:lpt";
+  const std::unique_ptr<Solver> solver = make_solver(spec);
+  const Instance inst = make_instance({9, 8, 7, 6, 5, 4, 3, 2, 1, 9, 8, 7},
+                                      {1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3}, 3);
+  const SolveOptions options;
+  const SolveResult cold = solver->solve(inst, options);
+  ASSERT_GT(wire::encode_result_payload(cold).size(), 64u);
+
+  cache.insert(inst, spec, options, cold);
+  const storage::CacheTableStats table = cache.table_stats();
+  EXPECT_EQ(table.skipped, 1u);
+  EXPECT_EQ(table.inserts, 0u);
+  EXPECT_EQ(table.bytes, 0u);
+  EXPECT_EQ(cache.stats().inserts, 0u);
+  EXPECT_FALSE(cache.lookup(inst, spec, options).has_value());
+}
+
 TEST(SolveCache, HitsSurviveExtrasChannelsOnTheColdResult) {
   // SBO results carry an extras channel the payload format does not
   // store; the JSONL surface (which omits extras) must still match.
