@@ -63,19 +63,9 @@ bool FrontStaircase::offer(Time c, Mem m, std::span<const ProcId> assign) {
   return true;
 }
 
-namespace {
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-/// Lower bound on the final max subset sum when `remaining` weight can
-/// still be spread arbitrarily (fractionally) over the current loads:
-/// max(current max load, ceil of the water-fill level). `scratch` is
-/// caller-provided to keep the per-node cost allocation-free.
-std::int64_t fluid_bound(std::vector<std::int64_t>& scratch,
-                         std::span<const std::int64_t> load,
-                         std::int64_t remaining) {
+std::int64_t load_floor(std::span<const std::int64_t> load,
+                        const RemainingWeights& rest,
+                        std::vector<std::int64_t>& scratch) {
   // Insertion sort while copying: m is small, and below 16 elements this
   // is the algorithm std::sort runs anyway.
   scratch.resize(load.size());
@@ -84,22 +74,54 @@ std::int64_t fluid_bound(std::vector<std::int64_t>& scratch,
     for (; j > 0 && scratch[j - 1] > load[i]; --j) scratch[j] = scratch[j - 1];
     scratch[j] = load[i];
   }
-  const std::int64_t maxl = scratch.back();
-  if (remaining == 0) return maxl;
-  const int m = static_cast<int>(scratch.size());
+  std::int64_t bound = scratch.back();
+  if (rest.count == 0) return bound;
+  const std::span<const std::int64_t> l = scratch;
+  const auto [w1, w2, w3] = rest.top;
+  const std::size_t reach = std::min(rest.count, l.size());
   std::int64_t prefix = 0;
-  for (int k = 1; k <= m; ++k) {
-    prefix += scratch[static_cast<std::size_t>(k - 1)];
-    // Water level over the k smallest loads: (remaining + prefix) / k.
-    // Valid at the first k where the level stays below the (k+1)-th load;
-    // the level >= k-th load holds there automatically.
-    const std::int64_t num = remaining + prefix;
-    if (k == m ||
-        num <= scratch[static_cast<std::size_t>(k)] * static_cast<std::int64_t>(k)) {
-      return std::max(maxl, ceil_div(num, k));
+  for (std::size_t k = 1; k <= reach; ++k) {
+    prefix += l[k - 1];
+    // Water level over the k smallest loads: (total + prefix) / k. Valid
+    // at the first k where the level stays below the (k+1)-th load; the
+    // level >= k-th load holds there automatically.
+    const std::int64_t num = rest.total + prefix;
+    const auto kk = static_cast<std::int64_t>(k);
+    if (k == reach || num <= l[k] * kk) {
+      bound = std::max(bound, (num + kk - 1) / kk);
+      break;
     }
   }
-  return maxl;  // unreachable: k == m always returns
+  bound = std::max(bound, l[0] + w1);
+  if (rest.count >= 2 && l.size() >= 2) {
+    bound = std::max(bound, std::min(l[1] + w2, l[0] + w1 + w2));
+  }
+  if (rest.count >= 3 && l.size() >= 3) {
+    bound = std::max(bound, std::min(l[2] + w3, l[0] + w2 + w3));
+  }
+  return bound;
+}
+
+namespace {
+
+/// RemainingWeights of every suffix order[idx..] of the search order, idx
+/// = 0..n, on the axis `weight` reads.
+template <class Weight>
+std::vector<RemainingWeights> suffix_weights(const Instance& inst,
+                                             std::span<const TaskId> order,
+                                             Weight weight) {
+  std::vector<RemainingWeights> rest(order.size() + 1);
+  for (std::size_t idx = order.size(); idx-- > 0;) {
+    RemainingWeights r = rest[idx + 1];
+    std::int64_t w = weight(inst.task(order[idx]));
+    ++r.count;
+    r.total += w;
+    for (std::int64_t& top : r.top) {
+      if (w > top) std::swap(w, top);
+    }
+    rest[idx] = r;
+  }
+  return rest;
 }
 
 /// Child order of a search node: processors 0..reach-1 by ascending
@@ -138,64 +160,55 @@ struct BbState {
   std::int64_t c_ref = 1;  // axis normalizers for the child ordering
   std::int64_t m_ref = 1;  // (the optima when known, Graham bounds else)
 
-  std::vector<TaskId> order;       // search order (see enumerate_pareto_bb)
-  std::vector<Time> suffix_max_p;  // over order[idx..], size n + 1
-  std::vector<Mem> suffix_max_s;
-  std::vector<std::int64_t> suffix_max_ps;  // max p + s over the suffix
-  std::vector<Time> suffix_sum_p;
-  std::vector<Mem> suffix_sum_s;
+  std::vector<TaskId> order;  // search order (see enumerate_pareto_bb)
+  std::vector<RemainingWeights> rest_p;   // of order[idx..], size n + 1
+  std::vector<RemainingWeights> rest_s;
+  std::vector<RemainingWeights> rest_ps;  // on the p + s axis
 
   std::vector<std::int64_t> load;
   std::vector<std::int64_t> mem;
   std::vector<std::int64_t> combined;  // load[q] + mem[q], rebuilt per node
-  std::vector<std::int64_t> scratch_p;
-  std::vector<std::int64_t> scratch_s;
-  std::vector<std::int64_t> scratch_c;
+  std::vector<std::int64_t> scratch;   // load_floor's sorted loads
   std::vector<Int128> keys;                   // child-order scratch
   std::vector<ProcId> assign;                 // by task id
   std::vector<std::vector<ProcId>> children;  // per-depth candidate buffers
   FrontStaircase front;
 
-  void dfs(std::size_t idx, int used) {
-    if (++nodes > limit) {
-      throw std::runtime_error("enumerate_pareto: enumeration limit hit");
-    }
-    if (idx == n) {
-      std::int64_t c = 0;
-      std::int64_t mm = 0;
-      for (int q = 0; q < used; ++q) {
-        c = std::max(c, load[static_cast<std::size_t>(q)]);
-        mm = std::max(mm, mem[static_cast<std::size_t>(q)]);
-      }
-      front.offer(c, mm, assign);
-      return;
-    }
-    // Per-objective lower bounds on any completion: the water-fill level of
-    // the remaining weight, the largest single remaining weight (it lands
-    // on some processor whole), and the exact single-objective optimum (a
-    // global floor; without it the search burns its budget re-proving
-    // "no schedule beats C*" in every subtree).
-    const std::int64_t lb_c = std::max(
-        {fluid_bound(scratch_p, load, suffix_sum_p[idx]), suffix_max_p[idx],
-         c_star});
-    const std::int64_t lb_m = std::max(
-        {fluid_bound(scratch_s, mem, suffix_sum_s[idx]), suffix_max_s[idx],
-         m_star});
-    // Combined bound: cmax + mmax >= max_q(load_q + mem_q) for every
-    // schedule, so the water-fill of the combined weight lower-bounds the
-    // objective sum. This is the bound with teeth on anti-correlated
-    // instances, where p + s is flat and neither axis bounds well alone.
+  /// The prune at a node with two or more tasks left: false iff every
+  /// completion is weakly dominated by an incumbent.
+  bool can_improve(std::size_t idx) {
+    // Per-objective floors on any completion, the remaining tasks placed
+    // whole, and the exact single-objective optimum (a global floor;
+    // without it the search burns its budget re-proving "no schedule beats
+    // C*" in every subtree).
+    const std::int64_t lb_c =
+        std::max(load_floor(load, rest_p[idx], scratch), c_star);
+    const std::int64_t lb_m =
+        std::max(load_floor(mem, rest_s[idx], scratch), m_star);
+    // Combined floor: cmax + mmax >= max_q(load_q + mem_q) for every
+    // schedule, so the floor of the combined loads bounds the objective
+    // sum. This is the bound with teeth on anti-correlated instances,
+    // where p + s is flat and neither axis bounds well alone.
     for (int q = 0; q < m; ++q) {
       combined[static_cast<std::size_t>(q)] =
           load[static_cast<std::size_t>(q)] + mem[static_cast<std::size_t>(q)];
     }
-    const std::int64_t lb_cm =
-        std::max(fluid_bound(scratch_c, combined,
-                             suffix_sum_p[idx] + suffix_sum_s[idx]),
-                 suffix_max_ps[idx]);
-    if (!front.can_improve(lb_c, lb_m, lb_cm)) return;
+    const std::int64_t lb_cm = load_floor(combined, rest_ps[idx], scratch);
+    return front.can_improve(lb_c, lb_m, lb_cm);
+  }
+
+  void dfs(std::size_t idx, int used) {
+    if (++nodes > limit) {
+      throw std::runtime_error("enumerate_pareto: enumeration limit hit");
+    }
+    // The last task is not bounded: each of its children completes an
+    // assignment, and a bound could only cut points the staircase rejects
+    // anyway.
+    const bool last = idx + 1 == n;
+    if (!last && !can_improve(idx)) return;
 
     const Task& t = inst->task(order[idx]);
+    const auto slot = static_cast<std::size_t>(order[idx]);
     // Symmetry breaking: any non-empty processor or the first empty one.
     // Smallest normalized peak first: DFS dives toward doubly-balanced
     // completions, which is what hands the dominance prune incumbents
@@ -203,15 +216,32 @@ struct BbState {
     std::vector<ProcId>& cand = children[idx];
     order_children(t, std::min(used + 1, m), load, mem, c_ref, m_ref, keys,
                    cand);
-    for (const ProcId q : cand) {
-      assign[static_cast<std::size_t>(order[idx])] = q;
-      load[static_cast<std::size_t>(q)] += t.p;
-      mem[static_cast<std::size_t>(q)] += t.s;
-      dfs(idx + 1, std::max(used, q + 1));
-      load[static_cast<std::size_t>(q)] -= t.p;
-      mem[static_cast<std::size_t>(q)] -= t.s;
+    if (last) {
+      // Each child's point goes to the staircase as it is, in child order
+      // (first offer wins among duplicates); the leaves are not nodes.
+      std::int64_t c = 0;
+      std::int64_t mm = 0;
+      for (int q = 0; q < used; ++q) {
+        c = std::max(c, load[static_cast<std::size_t>(q)]);
+        mm = std::max(mm, mem[static_cast<std::size_t>(q)]);
+      }
+      for (const ProcId q : cand) {
+        const auto uq = static_cast<std::size_t>(q);
+        assign[slot] = q;
+        front.offer(std::max(c, load[uq] + t.p), std::max(mm, mem[uq] + t.s),
+                    assign);
+      }
+    } else {
+      for (const ProcId q : cand) {
+        assign[slot] = q;
+        load[static_cast<std::size_t>(q)] += t.p;
+        mem[static_cast<std::size_t>(q)] += t.s;
+        dfs(idx + 1, std::max(used, q + 1));
+        load[static_cast<std::size_t>(q)] -= t.p;
+        mem[static_cast<std::size_t>(q)] -= t.s;
+      }
     }
-    assign[static_cast<std::size_t>(order[idx])] = kNoProc;
+    assign[slot] = kNoProc;
   }
 };
 
@@ -453,7 +483,7 @@ class DiveHunt {
 
 /// Capped satisfiability probe for the ideal point: a DFS over the given
 /// task order with *hard* per-processor caps cmax <= c_cap and
-/// mmax <= m_cap (plus water-fill pruning against both), stopping at the
+/// mmax <= m_cap (plus load_floor pruning against both), stopping at the
 /// first complete assignment. When the ideal point (C*, M*) is achievable
 /// -- the common case once n/m is large and weights are i.i.d. -- this
 /// resolves in thousands of nodes where the Pareto search would hunt for
@@ -463,10 +493,13 @@ class DiveHunt {
 class CappedProbe {
  public:
   CappedProbe(const Instance& inst, std::span<const TaskId> order,
-              std::int64_t c_cap, std::int64_t m_cap, std::uint64_t limit,
-              DiveHunt& dives)
+              std::span<const RemainingWeights> rest_p,
+              std::span<const RemainingWeights> rest_s, std::int64_t c_cap,
+              std::int64_t m_cap, std::uint64_t limit, DiveHunt& dives)
       : inst_(&inst),
         order_(order),
+        rest_p_(rest_p),
+        rest_s_(rest_s),
         c_cap_(c_cap),
         m_cap_(m_cap),
         limit_(limit),
@@ -476,15 +509,7 @@ class CappedProbe {
         load_(static_cast<std::size_t>(inst.m()), 0),
         mem_(static_cast<std::size_t>(inst.m()), 0),
         assign_(inst.n(), kNoProc),
-        children_(inst.n()) {
-    suffix_sum_p_.assign(n_ + 1, 0);
-    suffix_sum_s_.assign(n_ + 1, 0);
-    for (std::size_t idx = n_; idx-- > 0;) {
-      const Task& t = inst.task(order_[idx]);
-      suffix_sum_p_[idx] = suffix_sum_p_[idx + 1] + t.p;
-      suffix_sum_s_[idx] = suffix_sum_s_[idx + 1] + t.s;
-    }
-  }
+        children_(inst.n()) {}
 
   /// Runs the race. Returns true iff it settled the hunt: the probe found
   /// an assignment (and offered it), a dive hit, or the capped tree was
@@ -508,9 +533,9 @@ class CappedProbe {
       return false;
     }
     if (idx == n_) return true;
-    // Even spread of the remaining weight must fit under both caps.
-    if (fluid_bound(scratch_, load_, suffix_sum_p_[idx]) > c_cap_) return false;
-    if (fluid_bound(scratch_, mem_, suffix_sum_s_[idx]) > m_cap_) return false;
+    // Both floors on the remaining tasks must fit under the caps.
+    if (load_floor(load_, rest_p_[idx], scratch_) > c_cap_) return false;
+    if (load_floor(mem_, rest_s_[idx], scratch_) > m_cap_) return false;
     const Task& t = inst_->task(order_[idx]);
     // Most-slack-first child order (same balanced steering as the main
     // search; first-fit order stalls on exactly the instances that need
@@ -534,6 +559,8 @@ class CappedProbe {
 
   const Instance* inst_;
   std::span<const TaskId> order_;
+  std::span<const RemainingWeights> rest_p_;
+  std::span<const RemainingWeights> rest_s_;
   std::int64_t c_cap_;
   std::int64_t m_cap_;
   std::uint64_t limit_;
@@ -543,8 +570,6 @@ class CappedProbe {
   int m_;
   std::vector<std::int64_t> load_;
   std::vector<std::int64_t> mem_;
-  std::vector<std::int64_t> suffix_sum_p_;
-  std::vector<std::int64_t> suffix_sum_s_;
   std::vector<std::int64_t> scratch_;
   std::vector<Int128> keys_;
   std::vector<ProcId> assign_;
@@ -612,19 +637,10 @@ ParetoEnumResult enumerate_pareto_bb(const Instance& inst,
     if (ta.p + ta.s != tb.p + tb.s) return ta.p + ta.s > tb.p + tb.s;
     return a < b;
   });
-  st.suffix_max_p.assign(st.n + 1, 0);
-  st.suffix_max_s.assign(st.n + 1, 0);
-  st.suffix_max_ps.assign(st.n + 1, 0);
-  st.suffix_sum_p.assign(st.n + 1, 0);
-  st.suffix_sum_s.assign(st.n + 1, 0);
-  for (std::size_t idx = st.n; idx-- > 0;) {
-    const Task& t = inst.task(st.order[idx]);
-    st.suffix_max_p[idx] = std::max(st.suffix_max_p[idx + 1], t.p);
-    st.suffix_max_s[idx] = std::max(st.suffix_max_s[idx + 1], t.s);
-    st.suffix_max_ps[idx] = std::max(st.suffix_max_ps[idx + 1], t.p + t.s);
-    st.suffix_sum_p[idx] = st.suffix_sum_p[idx + 1] + t.p;
-    st.suffix_sum_s[idx] = st.suffix_sum_s[idx + 1] + t.s;
-  }
+  st.rest_p = suffix_weights(inst, st.order, [](const Task& t) { return t.p; });
+  st.rest_s = suffix_weights(inst, st.order, [](const Task& t) { return t.s; });
+  st.rest_ps =
+      suffix_weights(inst, st.order, [](const Task& t) { return t.p + t.s; });
   st.load.assign(static_cast<std::size_t>(st.m), 0);
   st.mem.assign(static_cast<std::size_t>(st.m), 0);
   st.combined.assign(static_cast<std::size_t>(st.m), 0);
@@ -664,8 +680,9 @@ ParetoEnumResult enumerate_pareto_bb(const Instance& inst,
       const std::uint64_t trials = std::min<std::uint64_t>(2048, limit / 256);
       DiveHunt dives(inst, st.c_ref, st.m_ref, trials, st.front);
       dives.run(1);
-      CappedProbe probe(inst, st.order, st.c_ref, st.m_ref,
-                        std::max<std::uint64_t>(limit / 2, 1), dives);
+      CappedProbe probe(inst, st.order, st.rest_p, st.rest_s, st.c_ref,
+                        st.m_ref, std::max<std::uint64_t>(limit / 2, 1),
+                        dives);
       if (!probe.run(st.front)) dives.run(trials);
     }
   }

@@ -124,7 +124,8 @@ ParetoEnumResult enumerate_pareto_reference(const Instance& inst,
 }
 
 ParetoEnumResult enumerate_pareto(const Instance& inst, std::uint64_t limit) {
-  if (env_flag_set("STORESCHED_PARETO_REFERENCE")) {
+  static const bool reference = env_flag_set("STORESCHED_PARETO_REFERENCE");
+  if (reference) {
     return enumerate_pareto_reference(inst, limit);
   }
   return enumerate_pareto_bb(inst, limit);

@@ -15,7 +15,8 @@
 //     lowest-indexed empty processor). Kept as the equivalence oracle.
 // enumerate_pareto() routes to the branch and bound unless the environment
 // variable STORESCHED_PARETO_REFERENCE is set to a non-empty value other
-// than "0" (the same A/B convention as STORESCHED_RLS_REFERENCE).
+// than "0" (the same A/B convention as STORESCHED_RLS_REFERENCE); the
+// variable is read once, at the first call in the process.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,8 @@
 namespace storesched {
 
 /// Default work limit for enumerate_pareto(): search nodes for the branch
-/// and bound, complete assignments for the reference walker.
+/// and bound (the last task's placements are not nodes), complete
+/// assignments for the reference walker.
 inline constexpr std::uint64_t kParetoEnumDefaultLimit = 100'000'000;
 
 struct ParetoEnumResult {
@@ -37,7 +39,9 @@ struct ParetoEnumResult {
   std::vector<LabelledPoint> front;
   /// One representative (assignment-only) schedule per front point.
   std::vector<Schedule> schedules;
-  /// Work counter: branch-and-bound search nodes visited (default engine)
+  /// Work counter: branch-and-bound search nodes visited (default engine;
+  /// a node places one task, and the last task's placements, which
+  /// complete assignments, are offered to the front without being nodes)
   /// or complete assignments enumerated after symmetry breaking
   /// (reference engine).
   std::uint64_t enumerated = 0;

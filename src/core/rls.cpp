@@ -357,7 +357,8 @@ RlsResult rls_schedule_fast(const Instance& inst, const Fraction& delta,
 
 RlsResult rls_schedule(const Instance& inst, const Fraction& delta,
                        PriorityPolicy tie_break) {
-  if (env_flag_set("STORESCHED_RLS_REFERENCE")) {
+  static const bool reference = env_flag_set("STORESCHED_RLS_REFERENCE");
+  if (reference) {
     return rls_schedule_reference(inst, delta, tie_break);
   }
   return rls_schedule_fast(inst, delta, tie_break);

@@ -35,7 +35,8 @@
 //   * rls_schedule_reference -- the paper-faithful O(n^2 m) rescan with
 //     exact Fraction arithmetic in the inner loop (the equivalence oracle).
 // rls_schedule() routes to the fast engine unless the environment variable
-// STORESCHED_RLS_REFERENCE is set to a non-empty value other than "0".
+// STORESCHED_RLS_REFERENCE is set to a non-empty value other than "0"; the
+// variable is read once, at the first call in the process.
 #pragma once
 
 #include <optional>

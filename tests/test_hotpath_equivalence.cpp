@@ -11,8 +11,6 @@
 // edge (so infeasible verdicts are exercised too).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/dag_generators.hpp"
 #include "common/generators.hpp"
 #include "common/parallel.hpp"
@@ -182,15 +180,15 @@ TEST(HotpathEquivalence, LargerSpotChecks) {
   expect_identical(dag, Fraction(5, 2), PriorityPolicy::kBottomLevel, -12);
 }
 
-// The env toggle routes rls_schedule() to the reference engine.
-TEST(HotpathEquivalence, EnvToggleSelectsReferenceEngine) {
+// Both engines behind rls_schedule() (STORESCHED_RLS_REFERENCE picks one,
+// read once per process) return the same schedule.
+TEST(HotpathEquivalence, DispatcherEnginesAgree) {
   Rng rng(9);
   const Instance inst = generate_uniform({.n = 25, .m = 3}, rng);
-  ::setenv("STORESCHED_RLS_REFERENCE", "1", 1);
-  const RlsResult via_env = rls_schedule(inst, Fraction(5, 2));
-  ::unsetenv("STORESCHED_RLS_REFERENCE");
-  const RlsResult fast = rls_schedule(inst, Fraction(5, 2));
-  EXPECT_EQ(via_env.schedule, fast.schedule);  // engines agree anyway
+  const RlsResult reference = rls_schedule_reference(inst, Fraction(5, 2));
+  const RlsResult fast = rls_schedule_fast(inst, Fraction(5, 2));
+  EXPECT_EQ(reference.schedule, fast.schedule);
+  EXPECT_EQ(rls_schedule(inst, Fraction(5, 2)).schedule, fast.schedule);
 }
 
 // sbo_ingredients + sbo_combine must reproduce sbo_schedule bit-exactly.

@@ -1,15 +1,16 @@
 // Tests for the branch-and-bound exact Pareto engine (core/pareto_bb.hpp)
-// and its pareto:exact solver surface: edge cases (empty, single task,
-// all-equal weights, m >= n, a budget too small for any dive), the
-// node-limit guard, the env-var engine toggle, bit-identical-front
-// agreement with the seed's brute-force walker on 120 randomized instances
-// and on every generator family, and thread-count-independent
-// representative schedules.
+// and its pareto:exact solver surface: the soundness of load_floor against
+// brute force, edge cases (empty, single task, all-equal weights, m >= n, a
+// budget too small for any dive), the node-limit guard, the two engines'
+// work counters, bit-identical-front agreement with the seed's brute-force
+// walker on 120 randomized instances and on every generator family, and
+// thread-count-independent representative schedules.
 #include "core/pareto_bb.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -34,6 +35,61 @@ void expect_representatives_achieve(const Instance& inst,
     EXPECT_TRUE(validate_schedule(inst, sched).ok);
     EXPECT_EQ(objectives(inst, sched), pt.value);
   }
+}
+
+TEST(LoadFloor, NeverExceedsTheBestPlacement) {
+  // Every one of the m^r placements of r whole tasks onto the current
+  // loads ends at some maximum load; the floor must not exceed the least.
+  // Half the states draw from [0, 3], so ties and zeros are common.
+  Rng rng(19);
+  std::vector<std::int64_t> scratch;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto r = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const std::int64_t hi = rng.uniform_int(0, 1) == 0 ? 3 : 30;
+    std::vector<std::int64_t> load(m);
+    std::vector<std::int64_t> w(r);
+    for (auto& v : load) v = rng.uniform_int(0, hi);
+    for (auto& v : w) v = rng.uniform_int(0, hi);
+
+    RemainingWeights rest;
+    rest.count = r;
+    std::vector<std::int64_t> sorted = w;
+    std::sort(sorted.rbegin(), sorted.rend());
+    for (std::size_t i = 0; i < r; ++i) {
+      rest.total += sorted[i];
+      if (i < rest.top.size()) rest.top[i] = sorted[i];
+    }
+
+    // Placement `code` puts task i on processor (code / m^i) mod m.
+    std::size_t placements = 1;
+    for (std::size_t i = 0; i < r; ++i) placements *= m;
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t code = 0; code < placements; ++code) {
+      std::vector<std::int64_t> final_load = load;
+      for (std::size_t i = 0, c = code; i < r; ++i, c /= m) {
+        final_load[c % m] += w[i];
+      }
+      best = std::min(best,
+                      *std::max_element(final_load.begin(), final_load.end()));
+    }
+    ASSERT_LE(load_floor(load, rest, scratch), best) << "trial " << trial;
+  }
+}
+
+TEST(LoadFloor, PlacesTheLastTwoTasksWhole) {
+  // A node of a seed-1 cli-exact instance, memory axis: loads {252, 144,
+  // 182} and two tasks left, s = 84 and s = 82.
+  const std::vector<std::int64_t> mem{252, 144, 182};
+  std::vector<std::int64_t> scratch;
+  // Fluid, the 166 units fill the two least-loaded processors to 246, so
+  // the current maximum 252 is all the fill can say.
+  EXPECT_EQ(load_floor(mem, {.count = 2, .total = 166}, scratch), 252);
+  // Whole, 84 on 144 leaves 82 for 182 (264) or 252 (334), and both on
+  // 144 make 310: the optimum is 264, and the floor finds it.
+  EXPECT_EQ(load_floor(mem, {.count = 2, .total = 166, .top = {84, 82, 0}},
+                       scratch),
+            264);
 }
 
 TEST(ParetoBb, RejectsPrecedence) {
@@ -153,15 +209,18 @@ TEST(ParetoBb, BudgetBelowOneDiveStillExact) {
   expect_representatives_achieve(inst, bb);
 }
 
-TEST(ParetoBb, EnvToggleRoutesDispatcherToReference) {
+TEST(ParetoBb, EnginesCountTheirOwnWork) {
+  // The walker counts complete assignments (the 5 set partitions of three
+  // tasks); the branch and bound counts its nodes, and the seeds reach
+  // the ideal point (4, 4), so its root prunes. The dispatcher's
+  // STORESCHED_PARETO_REFERENCE routing is read once per process and is
+  // pinned out of process by tests/cram/0100-cli-roundtrip.t.
   const Instance inst = make_instance({1, 2, 4}, {1, 2, 4}, 3);
-  ASSERT_EQ(setenv("STORESCHED_PARETO_REFERENCE", "1", 1), 0);
-  // The walker's complete-assignment count (5 set partitions) is the
-  // fingerprint that the dispatcher really took the reference path.
-  EXPECT_EQ(enumerate_pareto(inst).enumerated, 5u);
-  ASSERT_EQ(setenv("STORESCHED_PARETO_REFERENCE", "0", 1), 0);
-  EXPECT_NE(enumerate_pareto(inst).enumerated, 5u);
-  ASSERT_EQ(unsetenv("STORESCHED_PARETO_REFERENCE"), 0);
+  const auto ref = enumerate_pareto_reference(inst);
+  const auto bb = enumerate_pareto_bb(inst);
+  EXPECT_EQ(ref.enumerated, 5u);
+  EXPECT_EQ(bb.enumerated, 1u);
+  EXPECT_EQ(bb.front, ref.front);
 }
 
 // ---------------------------------------------------------------------------
