@@ -59,11 +59,12 @@ double ms_since(Clock::time_point start) {
 }
 
 /// Readiness multiplexer: epoll where available, poll(2) elsewhere. Only
-/// the event-loop thread touches it (workers wake the loop through the
-/// wake pipe instead), so it needs no locking. Level-triggered on both
-/// backends: unread bytes and unaccepted connections are re-reported,
-/// which is what lets a failed accept round or a paused (windowed)
-/// connection resume without bookkeeping.
+/// the event-loop thread touches it (a worker whose response needs the
+/// loop -- to finish a write, re-arm a paused connection, or close one --
+/// wakes it through the wake pipe instead), so it needs no locking.
+/// Level-triggered on both backends: unread bytes and unaccepted
+/// connections are re-reported, which is what lets a failed accept round
+/// or a paused (windowed) connection resume without bookkeeping.
 class Poller {
  public:
   struct Event {
@@ -704,10 +705,21 @@ struct ServeServer::Impl {
       const auto fd_it = conn_fd_.find(pending.conn_id);
       if (fd_it != conn_fd_.end()) {
         Connection& conn = conns_.at(fd_it->second);
+        const bool was_paused = conn.in_flight >= opts().conn_window;
         conn.outbox += line;
         conn.outbox += '\n';
         if (conn.in_flight > 0) --conn.in_flight;
         if (!pending.req.id.empty()) conn.cancelable.erase(pending.req.id);
+        // When the loop has nothing else to do for this connection, write
+        // here and let it sleep; a partial send or a dead peer falls back
+        // to waking it. With requests queued, workers go back to solving
+        // and leave the loop to batch the writes.
+        const bool loop_idle_for_conn =
+            queue_depth_ == 0 && !was_paused && conn.deferred.empty() &&
+            !conn.reg_write && !conn.peer_eof && !draining_ && !flush_exit_;
+        if (loop_idle_for_conn && flush_outbox(conn) && conn.outbox.empty()) {
+          return;
+        }
       }
       // else: the connection died first; the response is dropped.
     }

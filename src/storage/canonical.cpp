@@ -1,5 +1,6 @@
 #include "storage/canonical.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "storage/wire_format.hpp"
@@ -8,11 +9,12 @@ namespace storesched::storage {
 
 namespace {
 
-/// Names the key scheme (2: tasks in input order). Keys of another scheme,
-/// such as entries an older build left in a live shm store, never match.
-constexpr std::uint64_t kKeyScheme = 2;
+/// Names the key scheme (3: tasks in input order, both lanes hashing
+/// 64-bit words). Keys of another scheme, such as entries an older build
+/// left in a live shm store, never match.
+constexpr std::uint64_t kKeyScheme = 3;
 
-/// splitmix64 finalizer -- the second lane's word mixer.
+/// splitmix64 finalizer -- mixes each lane once at the end.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -20,30 +22,32 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Two-lane streaming hasher: lane A is FNV-1a over bytes, lane B chains
-/// splitmix64 over 64-bit words. The lanes share no structure, so a
-/// collision requires beating both independently.
+/// Two-lane streaming hasher over 64-bit words. Each lane is an xxh64-style
+/// round (multiply the word in, rotate, multiply), with its own seed,
+/// multipliers and rotation, so a collision requires beating both lanes
+/// independently. Strings go in as words, their length folded into the
+/// ragged last word.
 struct KeyHasher {
-  std::uint64_t a = 0xCBF29CE484222325ull;
+  std::uint64_t a = 0x27D4EB2F165667C5ull;
   std::uint64_t b = 0x53544F5245534348ull;  // "STORESCH"
+
+  void word(std::uint64_t w) {
+    a = std::rotl(a + w * 0xC2B2AE3D27D4EB4Full, 31) * 0x9E3779B185EBCA87ull;
+    b = std::rotl(b + w * 0x85EBCA77C2B2AE63ull, 27) * 0x165667B19E3779F9ull;
+  }
 
   void bytes(const void* data, std::size_t size) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      a = (a ^ p[i]) * 0x100000001B3ull;
-    }
     std::size_t i = 0;
     for (; i + 8 <= size; i += 8) {
-      std::uint64_t w;
+      std::uint64_t w = 0;
       std::memcpy(&w, p + i, 8);
-      b = mix64(b ^ w);
+      word(w);
     }
     std::uint64_t tail = size;  // fold the length into the ragged word
     for (; i < size; ++i) tail = (tail << 8) | p[i];
-    b = mix64(b ^ tail);
+    word(tail);
   }
-
-  void word(std::uint64_t w) { bytes(&w, 8); }
 
   CacheKey key() const { return {mix64(a), mix64(b ^ a)}; }
 };

@@ -10,8 +10,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "storage/wire_format.hpp"
 
@@ -120,8 +122,16 @@ ShmMapping::~ShmMapping() {
   if (base_ != nullptr) ::munmap(base_, size_);
 }
 
+struct ShmStore::LastMapping {
+  std::mutex mu;
+  std::shared_ptr<ShmMapping> mapping;  // guarded by mu
+};
+
 ShmStore::ShmStore(std::string name, void* meta, std::size_t meta_size)
-    : name_(std::move(name)), meta_(meta), meta_size_(meta_size) {
+    : name_(std::move(name)),
+      meta_(meta),
+      meta_size_(meta_size),
+      last_(std::make_unique<LastMapping>()) {
   const auto slots = static_cast<std::size_t>(
       meta_word(meta_, kMetaCacheSlots)->load(std::memory_order_relaxed));
   const auto payload = static_cast<std::size_t>(
@@ -139,7 +149,8 @@ ShmStore::ShmStore(ShmStore&& other) noexcept
     : name_(std::move(other.name_)),
       meta_(other.meta_),
       meta_size_(other.meta_size_),
-      cache_(std::move(other.cache_)) {
+      cache_(std::move(other.cache_)),
+      last_(std::move(other.last_)) {
   other.meta_ = nullptr;
   other.meta_size_ = 0;
 }
@@ -294,6 +305,12 @@ std::shared_ptr<ShmMapping> ShmStore::snapshot() const {
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq->load(std::memory_order_relaxed) != s1) continue;
     if (epoch == 0) return nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(last_->mu);
+      if (last_->mapping && last_->mapping->epoch() == epoch) {
+        return last_->mapping;
+      }
+    }
 
     const std::string segment = data_segment(name_, epoch);
     const int fd = ::shm_open(segment.c_str(), O_RDONLY, 0600);
@@ -315,7 +332,16 @@ std::shared_ptr<ShmMapping> ShmStore::snapshot() const {
       errno = err;
       fail_errno("mmap " + segment);
     }
-    return std::make_shared<ShmMapping>(base, size, epoch);
+    auto fresh = std::make_shared<ShmMapping>(base, size, epoch);
+    std::shared_ptr<ShmMapping> released;  // unmapped after the unlock
+    const std::lock_guard<std::mutex> lock(last_->mu);
+    if (!last_->mapping || last_->mapping->epoch() < epoch) {
+      released = std::exchange(last_->mapping, fresh);
+    } else if (last_->mapping->epoch() == epoch) {
+      // A racing caller mapped this epoch first: everyone shares its copy.
+      released = std::exchange(fresh, last_->mapping);
+    }
+    return fresh;
   }
   throw std::runtime_error(
       "shm store: " + meta_segment(name_) +

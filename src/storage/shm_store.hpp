@@ -18,7 +18,10 @@
 // Attached readers keep their mappings (POSIX keeps unlinked segments
 // alive until the last munmap), so a swap can never SIGBUS a reader;
 // new readers land on E+1. Readers snapshot with a bounded seqlock
-// double-read and simply retry when a republish races their shm_open.
+// double-read of (epoch, size). A handle maps each epoch's segment once:
+// while the published epoch is the one it last mapped, snapshot() hands
+// out that mapping again, and only a newer epoch costs a shm_open + mmap
+// (retried when a republish races the shm_open).
 //
 // The metadata segment also hosts the result cache
 // (storage/result_cache.hpp): every attached process shares one table, so
@@ -116,10 +119,11 @@ class ShmStore {
   /// publishes it as the next epoch; readers see the flip atomically.
   void publish(std::string_view container);
 
-  /// Maps the currently published epoch, or nullptr when nothing has been
-  /// published yet. Lock-free; bounded retries against concurrent
-  /// republishes, then throws std::runtime_error if the store never
-  /// stabilizes (a stuck odd seqlock: a writer died mid-flip).
+  /// The currently published epoch's mapping, or nullptr when nothing has
+  /// been published yet. The handle maps each epoch once and returns that
+  /// mapping until a newer epoch is published. Bounded retries against
+  /// concurrent republishes, then throws std::runtime_error if the store
+  /// never stabilizes (a stuck odd seqlock: a writer died mid-flip).
   std::shared_ptr<ShmMapping> snapshot() const;
 
   /// The shared result cache living in the metadata segment.
@@ -132,10 +136,15 @@ class ShmStore {
  private:
   ShmStore(std::string name, void* meta, std::size_t meta_size);
 
+  /// The last epoch's mapping this handle handed out, behind its own
+  /// mutex (defined in shm_store.cpp; a pointer keeps ShmStore movable).
+  struct LastMapping;
+
   std::string name_;
   void* meta_ = nullptr;
   std::size_t meta_size_ = 0;
   std::unique_ptr<SolveCache> cache_;
+  std::unique_ptr<LastMapping> last_;
 };
 
 /// Streaming source over the store's current snapshot: holds the mapping

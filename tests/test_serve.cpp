@@ -13,14 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
+#include "common/generators.hpp"
 #include "common/io.hpp"
+#include "common/rng.hpp"
 #include "core/stream.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
@@ -380,6 +384,22 @@ ServeOptions base_options(const std::string& name) {
 }
 
 constexpr const char* kInstance = R"({"m":2,"tasks":[[3,1],[2,2],[5,4]]})";
+
+/// A response line from "feasible" on: the part a cold solve, a cache hit
+/// and solve_batch must agree on byte for byte (the envelope before it
+/// carries the id and timings).
+std::string fields_after(const std::string& line) {
+  const std::size_t at = line.find("\"feasible\":");
+  return at == std::string::npos ? line : line.substr(at);
+}
+
+/// The value of a response line's "id".
+std::string id_of(const std::string& line) {
+  const std::size_t at = line.find(R"("id":")");
+  if (at == std::string::npos) return {};
+  const std::size_t end = line.find('"', at + 6);
+  return line.substr(at + 6, end - (at + 6));
+}
 
 class ServeServerTest : public ::testing::Test {
  protected:
@@ -805,10 +825,6 @@ TEST_F(ServeServerTest, ResultCacheAnswersDuplicatesAndCountsThem) {
 
   // The hit is byte-identical to the cold solve past the per-request
   // envelope (id and timings differ by construction).
-  const auto fields_after = [](const std::string& line) {
-    const std::size_t at = line.find("\"feasible\":");
-    return at == std::string::npos ? line : line.substr(at);
-  };
   EXPECT_EQ(fields_after(*cold), fields_after(*warm)) << *cold << "\n"
                                                       << *warm;
 
@@ -882,10 +898,6 @@ TEST_F(ServeServerTest, RefSolvesFromTheAttachedStore) {
                    "}");
   const auto inline_line = client.read_line();
   ASSERT_TRUE(inline_line);
-  const auto fields_after = [](const std::string& line) {
-    const std::size_t at = line.find("\"feasible\":");
-    return at == std::string::npos ? line : line.substr(at);
-  };
   EXPECT_EQ(fields_after(*by_ref), fields_after(*inline_line))
       << *by_ref << "\n"
       << *inline_line;
@@ -896,6 +908,248 @@ TEST_F(ServeServerTest, RefSolvesFromTheAttachedStore) {
   EXPECT_TRUE(contains(*oob, R"("ok":false)")) << *oob;
   EXPECT_TRUE(contains(*oob, "out of range")) << *oob;
 
+  server.shutdown();
+  EXPECT_GT(storage::ShmStore::unlink(store_name), 0u);
+}
+
+TEST_F(ServeServerTest, RefsFollowARepublish) {
+  const std::string store_name =
+      "storesched-test-serve-republish-" + std::to_string(::getpid());
+  storage::ShmStore::unlink(store_name);
+  storage::ShmStore store = storage::ShmStore::create(store_name);
+  const std::vector<Instance> first = {
+      Instance(std::vector<Task>{{3, 1}, {2, 2}, {5, 4}}, 2),
+      Instance(std::vector<Task>{{7, 7}}, 1),
+  };
+  const std::vector<Instance> second = {
+      Instance(std::vector<Task>{{9, 2}, {4, 4}, {1, 8}, {6, 3}}, 3),
+      Instance(std::vector<Task>{{2, 5}, {2, 5}}, 2),
+      Instance(std::vector<Task>{{8, 1}, {3, 6}, {4, 4}}, 2),
+  };
+  store.publish(wire::encode_instances(first));
+
+  ServeOptions options = base_options("republish");
+  options.store = &store;
+  ServeServer server(options);
+  server.start();
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+  const auto expected = [&](const Instance& inst) {
+    return fields_after(result_to_jsonl(0, solver->solve(inst)));
+  };
+
+  TestClient client(options.unix_path);
+  client.send_line(R"({"id":"a","ref":0})");
+  const auto before = client.read_line();
+  ASSERT_TRUE(before);
+  EXPECT_EQ(fields_after(*before), expected(first[0])) << *before;
+  client.send_line(R"({"id":"b","ref":2})");
+  const auto oob = client.read_line();
+  ASSERT_TRUE(oob);
+  EXPECT_TRUE(contains(*oob, "out of range")) << *oob;
+
+  store.publish(wire::encode_instances(second));
+  client.send_line(R"({"id":"c","ref":0})");
+  const auto after = client.read_line();
+  ASSERT_TRUE(after);
+  EXPECT_EQ(fields_after(*after), expected(second[0])) << *after;
+  client.send_line(R"({"id":"d","ref":2})");
+  const auto last = client.read_line();
+  ASSERT_TRUE(last);
+  EXPECT_TRUE(contains(*last, R"("ok":true)")) << *last;
+  EXPECT_EQ(fields_after(*last), expected(second[2])) << *last;
+
+  server.shutdown();
+  EXPECT_GT(storage::ShmStore::unlink(store_name), 0u);
+}
+
+/// The send buffer of a fresh unix stream socket: what one write to an
+/// unread connection can take.
+std::size_t unix_socket_buffer_bytes() {
+  int pair[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) return 0;
+  int sndbuf = 0;
+  socklen_t len = sizeof sndbuf;
+  ::getsockopt(pair[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, &len);
+  ::close(pair[0]);
+  ::close(pair[1]);
+  return static_cast<std::size_t>(sndbuf);
+}
+
+/// Pipelines 2,000 requests on one connection, with schedules in the
+/// responses, before reading any answer: the responses outgrow the socket
+/// buffer, so the worker and loop writes to one outbox meet a full
+/// socket. Every id must come back exactly once.
+void pipeline_past_the_socket_buffer(const std::string& name,
+                                     std::optional<std::size_t> window) {
+  ServeOptions options = base_options(name);
+  options.result.include_schedule = true;
+  if (window) options.conn_window = *window;
+  ServeServer server(options);
+  server.start();
+
+  std::string instance = R"({"m":4,"tasks":[)";
+  for (int t = 0; t < 64; ++t) {
+    instance += t ? ",[" : "[";
+    instance += std::to_string(t * 7 % 13 + 1) + ',';
+    instance += std::to_string(t * 5 % 11 + 1) + ']';
+  }
+  instance += "]}";
+  constexpr int kRequests = 2000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += R"({"id":")" + std::to_string(i) + R"(","instance":)" +
+             instance + "}\n";
+  }
+  TestClient client(options.unix_path);
+  client.send_raw(burst);
+
+  std::vector<int> answered(kRequests, 0);
+  std::size_t response_bytes = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto line = client.read_line();
+    ASSERT_TRUE(line) << "response " << i << " missing";
+    ASSERT_TRUE(contains(*line, R"("ok":true)")) << *line;
+    ASSERT_TRUE(contains(*line, R"("proc":[)")) << *line;
+    ++answered.at(static_cast<std::size_t>(std::stoi(id_of(*line))));
+    response_bytes += line->size() + 1;
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(answered[static_cast<std::size_t>(i)], 1) << "id " << i;
+  }
+  // Nothing extra is queued behind the 2,000: the next line answers this.
+  client.send_line(R"({"id":"s","statsz":true})");
+  const auto statsz = client.read_line();
+  ASSERT_TRUE(statsz);
+  EXPECT_EQ(id_of(*statsz), "s") << *statsz;
+  EXPECT_TRUE(contains(*statsz, R"("responses":2000)")) << *statsz;
+
+  // The test only means something if the answers outgrew what one unix
+  // socket buffers.
+  EXPECT_GT(response_bytes, unix_socket_buffer_bytes());
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, PipelinePastTheSocketBufferAnswersEachIdOnce) {
+  pipeline_past_the_socket_buffer("pastbuf", std::nullopt);
+}
+
+TEST_F(ServeServerTest, PipelinePastTheSocketBufferAtWindowOne) {
+  pipeline_past_the_socket_buffer("pastbuf1", 1);
+}
+
+TEST_F(ServeServerTest, ResponsesLargerThanTheSocketBufferArriveWhole) {
+  // One request at a time leaves the loop nothing to do for the
+  // connection, so the worker that solved each request writes its
+  // response. Each response is about twice the socket buffer and the
+  // client reads only after the worker is done, so that write is always
+  // partial and the loop must send the rest.
+  const std::size_t sndbuf = unix_socket_buffer_bytes();
+  ASSERT_GT(sndbuf, 0u);
+  ServeOptions options = base_options("whole");
+  options.result.include_schedule = true;
+  options.max_line = 8 * sndbuf;
+  ServeServer server(options);
+  server.start();
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+
+  TestClient client(options.unix_path);
+  for (std::size_t k = 0; k < 3; ++k) {
+    std::vector<Task> tasks;
+    for (std::size_t t = 0; t < sndbuf / 4; ++t) {
+      tasks.push_back({static_cast<Time>((t * 7 + k) % 13 + 1),
+                       static_cast<Mem>(t * 5 % 11 + 1)});
+    }
+    const Instance inst(std::move(tasks), 4);
+    client.send_line(R"({"id":"big","instance":)" + instance_to_jsonl(inst) +
+                     "}");
+    // The counter moves under the lock the worker writes under, so once it
+    // does, the worker's send has already met an undrained socket.
+    for (int waited_ms = 0; server.counters().responses <= k; ++waited_ms) {
+      ASSERT_LT(waited_ms, 10000) << "response " << k << " never produced";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto line = client.read_line();
+    ASSERT_TRUE(line) << "response " << k << " missing";
+    EXPECT_GT(line->size(), sndbuf);
+    // Compared as a bool: a mismatch would print two ~0.5 MB lines.
+    EXPECT_TRUE(fields_after(*line) ==
+                fields_after(result_to_jsonl(0, solver->solve(inst),
+                                             options.result)))
+        << "response " << k;
+  }
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
+  // The serve slice of the differential check: the same corpus answered
+  // inline, by reference into the store, and again from the warm cache
+  // must give solve_batch's result line, byte for byte past the envelope.
+  std::vector<Instance> corpus;
+  Rng rng(20);
+  for (const char* family :
+       {"uniform", "correlated", "anticorrelated", "bimodal"}) {
+    for (const std::size_t n : {std::size_t{20}, std::size_t{128}}) {
+      GenParams params;
+      params.n = n;
+      params.m = 4;
+      for (int k = 0; k < 2; ++k) {
+        corpus.push_back(generate_by_name(family, params, rng));
+      }
+    }
+  }
+  const std::string store_name =
+      "storesched-test-serve-same-" + std::to_string(::getpid());
+  storage::ShmStore::unlink(store_name);
+  storage::ShmStore store = storage::ShmStore::create(store_name);
+  store.publish(wire::encode_instances(corpus));
+
+  ServeOptions options = base_options("same");
+  options.store = &store;
+  options.cache = &store.cache();
+  // One worker: concurrent inserts may evict each other's fresh entries,
+  // which would make the hit count below depend on the interleaving.
+  options.threads = 1;
+  ServeServer server(options);
+  server.start();
+  TestClient client(options.unix_path);
+
+  const char* const specs[] = {"sbo:lpt,delta=1", "graham:lpt"};
+  const char* const passes[] = {"inline", "ref", "warm"};
+  for (const char* spec : specs) {
+    const std::vector<SolveResult> batch = solve_batch(spec, corpus);
+    for (const char* pass : passes) {
+      const bool by_ref = std::string(pass) == "ref";
+      std::string burst;
+      for (std::size_t i = 0; i < corpus.size(); ++i) {
+        burst += R"({"id":")" + std::to_string(i) + R"(","spec":")" + spec +
+                 "\",";
+        burst += by_ref ? R"("ref":)" + std::to_string(i)
+                        : R"("instance":)" + instance_to_jsonl(corpus[i]);
+        burst += "}\n";
+      }
+      client.send_raw(burst);
+      std::map<std::string, std::string> answers;
+      for (std::size_t i = 0; i < corpus.size(); ++i) {
+        const auto line = client.read_line();
+        ASSERT_TRUE(line) << spec << " " << pass << ": response missing";
+        answers[id_of(*line)] = *line;
+      }
+      for (std::size_t i = 0; i < corpus.size(); ++i) {
+        const std::string& line = answers[std::to_string(i)];
+        EXPECT_EQ(fields_after(line),
+                  fields_after(result_to_jsonl(i, batch[i])))
+            << spec << " " << pass << " #" << i << ": " << line;
+      }
+    }
+  }
+
+  // Every instance of the corpus took the cache path three times per
+  // spec, and every n = 20 entry (small enough for a slot) was answered
+  // from the cache in the two later passes.
+  const ServeCounters counters = server.counters();
+  EXPECT_EQ(counters.cache_hits + counters.cache_misses,
+            3 * std::size(specs) * corpus.size());
+  EXPECT_GE(counters.cache_hits, 2 * std::size(specs) * corpus.size() / 2);
   server.shutdown();
   EXPECT_GT(storage::ShmStore::unlink(store_name), 0u);
 }

@@ -87,6 +87,19 @@ TEST(CanonicalKey, IsDeterministic) {
   EXPECT_EQ(key_of(inst, "graham:lpt"), key_of(inst, "graham:lpt"));
 }
 
+TEST(CanonicalKey, SchemeThreeKeyIsPinned) {
+  // Keys live on in shared stores across builds. A change to the hasher
+  // (lanes, constants, finalizer or what is keyed) must bump kKeyScheme
+  // in storage/canonical.cpp and update this value in the same change,
+  // so an older build's entries never match a newer build's keys.
+  const Instance inst = make_instance({9, 1, 2, 7, 5}, {1, 8, 9, 3, 4}, 2);
+  SolveOptions capped;
+  capped.memory_capacity = 40;
+  const CacheKey key = key_of(inst, "sbo:lpt,delta=1", capped);
+  EXPECT_EQ(key.hi, 0x1F8A641884B07014ull);
+  EXPECT_EQ(key.lo, 0x0DBA31E09E066DE9ull);
+}
+
 TEST(CanonicalKey, PermutedTasksKeyDifferently) {
   // Task ids are part of the input: solvers break ties by them, and
   // rls:input schedules in their order. The same multiset of (p, s) pairs
@@ -467,20 +480,26 @@ TEST(ShmStore, RepublishFlipsEpochsWithoutInvalidatingOldSnapshots) {
   writer.publish(wire::encode_instances(first));
   const std::shared_ptr<storage::ShmMapping> old_snap = writer.snapshot();
   ASSERT_NE(old_snap, nullptr);
+  // One mapping per epoch: a second call in the same epoch hands out the
+  // same mapping instead of mapping the segment again.
+  EXPECT_EQ(writer.snapshot(), old_snap);
 
   writer.publish(wire::encode_instances(second));
+  const std::shared_ptr<storage::ShmMapping> new_snap = writer.snapshot();
+  ASSERT_NE(new_snap, nullptr);
+  EXPECT_NE(new_snap, old_snap);
+  EXPECT_EQ(new_snap->epoch(), 2u);
+  EXPECT_EQ(wire::InstanceView(new_snap->bytes()).count(), 2u);
+  EXPECT_EQ(writer.snapshot(), new_snap);
   EXPECT_EQ(writer.info().epoch, 2u);
   EXPECT_EQ(writer.info().instances, 2u);
 
-  // The epoch-1 mapping stays readable after its segment was unlinked.
+  // The epoch-1 mapping stays readable after its segment was unlinked and
+  // the handle moved on to epoch 2.
+  EXPECT_EQ(old_snap->epoch(), 1u);
   const wire::InstanceView old_view(old_snap->bytes());
   ASSERT_EQ(old_view.count(), 1u);
   EXPECT_EQ(old_view.materialize(0).n(), 2u);
-
-  const std::shared_ptr<storage::ShmMapping> new_snap = writer.snapshot();
-  ASSERT_NE(new_snap, nullptr);
-  EXPECT_EQ(new_snap->epoch(), 2u);
-  EXPECT_EQ(wire::InstanceView(new_snap->bytes()).count(), 2u);
 
   EXPECT_EQ(ShmStore::unlink(name), 2u);  // metadata + live epoch only
 }
@@ -513,6 +532,32 @@ TEST(ShmStore, SharedCacheIsVisibleAcrossHandles) {
   ShmStore::unlink(name);
 }
 
+/// Epoch E publishes E instances of weight E (epoch 1 included). Returns
+/// the number of ways `snap` breaks that rule (0 = a whole, valid
+/// container of its epoch).
+int epoch_violations(const storage::ShmMapping& snap) {
+  const wire::InstanceView view(snap.bytes());
+  const auto epoch = static_cast<std::size_t>(snap.epoch());
+  if (view.count() != epoch) return 1;
+  int bad = 0;
+  for (std::size_t i = 0; i < view.count(); ++i) {
+    if (view.materialize(i).task(0).p != static_cast<Time>(epoch)) ++bad;
+  }
+  return bad;
+}
+
+/// Publishes epochs 2..`epochs` of the epoch_violations() rule.
+void republish_epochs(ShmStore& writer, int epochs) {
+  for (int epoch = 2; epoch <= epochs; ++epoch) {
+    std::vector<Instance> batch;
+    for (int i = 0; i < epoch; ++i) {
+      batch.push_back(make_instance({static_cast<Time>(epoch)},
+                                    {static_cast<Mem>(epoch)}, 1));
+    }
+    writer.publish(wire::encode_instances(batch));
+  }
+}
+
 TEST(ShmStore, ConcurrentReadersSurviveRegionSwaps) {
   // The acceptance criterion's TSan scenario: readers attach, snapshot and
   // materialize continuously while the writer republishes new epochs.
@@ -533,34 +578,59 @@ TEST(ShmStore, ConcurrentReadersSurviveRegionSwaps) {
         ShmStore reader = ShmStore::attach(name);
         const std::shared_ptr<storage::ShmMapping> snap = reader.snapshot();
         if (snap == nullptr) continue;  // racing the very first flip
-        // Epoch E publishes E instances of weight E (epoch 1 aside, which
-        // published one instance of weight 1 -- same rule).
-        const wire::InstanceView view(snap->bytes());
-        const auto epoch = static_cast<std::size_t>(snap->epoch());
-        if (view.count() != epoch) {
-          bad.fetch_add(1);
-          continue;
-        }
-        for (std::size_t i = 0; i < view.count(); ++i) {
-          const Instance inst = view.materialize(i);
-          if (inst.task(0).p != static_cast<Time>(epoch)) bad.fetch_add(1);
-        }
+        bad.fetch_add(epoch_violations(*snap));
       }
     });
   }
 
-  for (int epoch = 2; epoch <= kEpochs; ++epoch) {
-    std::vector<Instance> batch;
-    for (int i = 0; i < epoch; ++i) {
-      batch.push_back(make_instance({static_cast<Time>(epoch)},
-                                    {static_cast<Mem>(epoch)}, 1));
-    }
-    writer.publish(wire::encode_instances(batch));
-  }
+  republish_epochs(writer, kEpochs);
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(writer.info().epoch, static_cast<std::uint64_t>(kEpochs));
+  ShmStore::unlink(name);
+}
+
+TEST(ShmStore, ReadersSharingOneHandleSurviveRegionSwaps) {
+  // The server's shape: every worker snapshots through one attached
+  // handle, so they share (and race on) its per-epoch mapping. Each
+  // snapshot must still be a whole container of its epoch, epochs seen by
+  // one reader never go backwards, and the handle ends on the last epoch.
+  const std::string name = test_store_name("shared");
+  ShmStore::unlink(name);
+  ShmStore writer = ShmStore::create(name);
+  writer.publish(wire::encode_instances(
+      std::vector<Instance>{make_instance({1}, {1}, 1)}));
+  const ShmStore reader = ShmStore::attach(name);
+
+  constexpr int kEpochs = 30;
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t last_epoch = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::shared_ptr<storage::ShmMapping> snap = reader.snapshot();
+        if (snap == nullptr || snap->epoch() < last_epoch) {
+          bad.fetch_add(1);
+          continue;
+        }
+        last_epoch = snap->epoch();
+        bad.fetch_add(epoch_violations(*snap));
+      }
+    });
+  }
+
+  republish_epochs(writer, kEpochs);
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  const std::shared_ptr<storage::ShmMapping> last = reader.snapshot();
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->epoch(), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(reader.snapshot(), last);
+  EXPECT_EQ(epoch_violations(*last), 0);
   ShmStore::unlink(name);
 }
 
