@@ -26,8 +26,10 @@
 // Enabled in production via the environment toggle STORESCHED_AUDIT (same
 // convention as STORESCHED_RLS_REFERENCE): when set, the non-virtual
 // Solver::solve() envelope audits every result of every family -- solver,
-// stream, bench, CLI -- and throws std::logic_error on the first violating
-// result. Debug CI runs the whole suite with STORESCHED_AUDIT=1.
+// stream, bench, CLI, serve -- storage::solve_cached audits every cache
+// hit by the same rule (Solver::audit), and the first violating result
+// throws std::logic_error. Debug CI runs the whole suite with
+// STORESCHED_AUDIT=1.
 #pragma once
 
 #include <optional>

@@ -802,24 +802,28 @@ SolveResult Solver::solve(const Instance& inst,
     }
   }
 
-  // STORESCHED_AUDIT: re-derive every checkable claim of every result that
-  // leaves the envelope -- all families, all call sites (direct, batch,
-  // stream, CLI). A violation is a library bug, never a data error, so it
-  // throws instead of degrading the result.
-  if (audit_enabled()) {
-    AuditOptions audit_options;
-    if (options.memory_capacity && capabilities(inst.m()).needs_capacity) {
-      audit_options.memory_capacity = options.memory_capacity;
-    }
-    const AuditReport report =
-        audit_schedule(inst, result.schedule, result, audit_options);
-    if (!report.ok()) {
-      throw std::logic_error("STORESCHED_AUDIT: " + name() +
-                             " produced an invalid result: " +
-                             report.to_string());
-    }
-  }
+  // Every result that leaves the envelope is audited -- all families, all
+  // call sites (direct, batch, stream, CLI, serve).
+  audit(inst, result, options, "produced an invalid result");
   return result;
+}
+
+void Solver::audit(const Instance& inst, const SolveResult& result,
+                   const SolveOptions& options,
+                   std::string_view failure) const {
+  if (!audit_enabled()) return;
+  AuditOptions audit_options;
+  if (options.memory_capacity && capabilities(inst.m()).needs_capacity) {
+    audit_options.memory_capacity = options.memory_capacity;
+  }
+  const AuditReport report =
+      audit_schedule(inst, result.schedule, result, audit_options);
+  // A violation is a library bug (or a poisoned cache entry), never a data
+  // error, so it throws instead of degrading the result.
+  if (!report.ok()) {
+    throw std::logic_error("STORESCHED_AUDIT: " + name() + " " +
+                           std::string(failure) + ": " + report.to_string());
+  }
 }
 
 ApproxFront Solver::delta_sweep(const Instance&,

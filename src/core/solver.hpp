@@ -66,6 +66,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/graham.hpp"
@@ -174,6 +175,15 @@ class Solver {
   /// results are bit-identical to the pre-envelope API.
   SolveResult solve(const Instance& inst,
                     const SolveOptions& options = {}) const;
+
+  /// Under STORESCHED_AUDIT=1, re-derives every checkable claim of
+  /// `result` on `inst` (core/audit.hpp) -- the hard capacity only when
+  /// this configuration needs one -- and throws std::logic_error
+  /// "STORESCHED_AUDIT: <name()> <failure>: <violations>" on a violation;
+  /// a no-op otherwise. solve() runs it on every cold result and
+  /// storage::solve_cached on every cache hit, so both answer to one rule.
+  void audit(const Instance& inst, const SolveResult& result,
+             const SolveOptions& options, std::string_view failure) const;
 
   /// Runs this configuration once per Delta in `grid` and Pareto-filters
   /// the feasible points (the Section 6 sweep behind front()). Grid points

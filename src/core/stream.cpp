@@ -995,9 +995,6 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
   state.errors = stream.errors;
   state.progress = &stream.progress;
   admit(state, 0);  // allocates the ring
-  // The solver spec is part of the cache key; resolve it once, not per
-  // record (Solver::name() may build a string).
-  const std::string spec = stream.cache != nullptr ? solver.name() : std::string{};
 
   // What a worker's records did besides their outcomes, folded into
   // StreamStats once per claim.
@@ -1045,24 +1042,16 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
     for (;;) {
       ++attempt;
       try {
-        // Cache consult before the first cold attempt only: a record that
-        // reached the retry path already missed. A hit under
-        // STORESCHED_AUDIT=1 that fails its audit throws here and is
-        // handled exactly like a deterministic solve fault.
-        if (stream.cache != nullptr && attempt == 1) {
-          if (auto cached = stream.cache->lookup(*inst, spec, options)) {
-            *result = *std::move(cached);
-            solved = true;
-            cache_hit = true;
-            break;
-          }
-        }
+        // Every attempt goes through the envelope, so a retry looks the
+        // record up again. A hit that fails its audit under
+        // STORESCHED_AUDIT=1 throws here and is handled exactly like a
+        // deterministic solve fault.
         failpoint::hit("stream.solve");
-        *result = solver.solve(*inst, options);
+        storage::CachedSolve solve =
+            storage::solve_cached(solver, *inst, options, stream.cache);
+        *result = std::move(solve.result);
+        cache_hit = solve.cache == storage::CacheOutcome::kHit;
         solved = true;
-        if (stream.cache != nullptr) {
-          stream.cache->insert(*inst, spec, options, *result);
-        }
         break;
       } catch (...) {
         solve_error = std::current_exception();

@@ -532,10 +532,11 @@ struct StreamOptions {
   /// callback aborts the run.
   std::function<void(const StreamProgress&)> progress;
   /// Result cache keyed on the input as given (storage/result_cache.hpp),
-  /// not owned; must outlive the run. When set, each record is looked up
-  /// before its first solve attempt (a hit delivers the cached result and
-  /// skips the solver) and every cacheable cold solve is inserted after.
-  /// Null = no caching (historical behavior).
+  /// not owned; must outlive the run. When set, every solve attempt,
+  /// retries included, goes through storage::solve_cached: the record is
+  /// looked up under the solver's canonical name (a hit, audited by the
+  /// solver's own rule, delivers the cached result and skips the solver)
+  /// and every cacheable cold solve is inserted after. Null = no caching.
   storage::SolveCache* cache = nullptr;
 };
 

@@ -626,8 +626,7 @@ struct ServeServer::Impl {
     bool expired = false;
     bool injected = false;
     bool solve_error = false;
-    bool cache_hit = false;
-    bool cache_miss = false;
+    storage::CacheOutcome cache = storage::CacheOutcome::kOff;
     try {
       failpoint::hit("serve.solve");
       if (pending.req.deadline_ms &&
@@ -651,32 +650,20 @@ struct ServeServer::Impl {
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::duration<double, std::milli>(remaining_ms));
         }
-        storage::SolveCache* cache = opts().cache;
         const Clock::time_point solve_start = Clock::now();
-        if (cache != nullptr) {
-          // An audit failure on the hit (STORESCHED_AUDIT=1) throws and is
-          // answered ok:false like any solver fault.
-          if (auto cached = cache->lookup(*inst, pending.spec,
-                                          solve_options)) {
-            result = *std::move(cached);
-            cache_hit = true;
-          } else {
-            cache_miss = true;
-          }
-        }
-        if (!cache_hit) {
-          const std::shared_ptr<const Solver> solver =
-              solver_for(pending.spec);
-          result = solver->solve(*inst, solve_options);
-          if (cache != nullptr) {
-            cache->insert(*inst, pending.spec, solve_options, result);
-          }
-        }
+        // The cache keys by the solver's canonical name, so every spelling
+        // of one spec shares its entries. An audit failure on a hit
+        // (STORESCHED_AUDIT=1) throws and is answered ok:false like any
+        // solver fault.
+        storage::CachedSolve solve = storage::solve_cached(
+            *solver_for(pending.spec), *inst, solve_options, opts().cache);
+        result = std::move(solve.result);
+        cache = solve.cache;
         response.solve_ms = ms_since(solve_start);
         have_result = true;
         // Hits skip the router's latency model: a hash lookup says nothing
         // about what a cold solve on this rung costs.
-        if (pending.rung >= 0 && !cache_hit) {
+        if (pending.rung >= 0 && cache != storage::CacheOutcome::kHit) {
           router().observe(static_cast<std::size_t>(pending.rung),
                            response.solve_ms);
         }
@@ -698,8 +685,8 @@ struct ServeServer::Impl {
       if (expired) ++counters_.deadline_expired;
       if (injected) ++counters_.injected_faults;
       if (solve_error) ++counters_.solve_errors;
-      if (cache_hit) ++counters_.cache_hits;
-      if (cache_miss) ++counters_.cache_misses;
+      if (cache == storage::CacheOutcome::kHit) ++counters_.cache_hits;
+      if (cache == storage::CacheOutcome::kMiss) ++counters_.cache_misses;
       ++counters_.responses;
       --inflight_total_;
       const auto fd_it = conn_fd_.find(pending.conn_id);

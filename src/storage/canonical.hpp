@@ -14,7 +14,8 @@
 // The key is 128 bits from two independently seeded mixing lanes. That
 // makes accidental collision negligible, but the cache still guards the
 // one cheap structural invariant (cached schedule size == instance size)
-// on every hit, and replays the full audit under STORESCHED_AUDIT=1.
+// on every hit, and the solve envelope replays the full audit under
+// STORESCHED_AUDIT=1.
 #pragma once
 
 #include <cstdint>

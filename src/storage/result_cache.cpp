@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/audit.hpp"
 #include "core/stream.hpp"  // CancelToken's definition (cache exemption)
 #include "storage/wire_format.hpp"
 
@@ -133,14 +132,11 @@ std::optional<std::string> CacheTable::lookup(const CacheKey& key) const {
   return std::nullopt;
 }
 
-bool CacheTable::admit(std::size_t payload_size) {
-  if (payload_size <= payload_capacity()) return true;
-  header_[kHdrSkipped].fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
 bool CacheTable::insert(const CacheKey& key, std::string_view payload) {
-  if (!admit(payload.size())) return false;
+  if (payload.size() > payload_capacity()) {
+    header_[kHdrSkipped].fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   const std::size_t mask = slot_count_ - 1;
   // Preference order: a slot already holding this key, else an empty slot,
   // else the window's first slot (plain eviction). The scan is a relaxed
@@ -210,7 +206,7 @@ CacheTableStats CacheTable::stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// SolveCache.
+// SolveCache and the solve envelope.
 // ---------------------------------------------------------------------------
 
 bool cache_exempt(const SolveOptions& options) {
@@ -229,63 +225,44 @@ SolveCache::SolveCache(void* base, std::size_t size, std::size_t slot_count,
                        std::size_t payload_bytes, bool initialize)
     : table_(base, size, slot_count, payload_bytes, initialize) {}
 
-std::optional<SolveResult> SolveCache::lookup(const Instance& inst,
-                                              std::string_view spec,
-                                              const SolveOptions& options) {
-  const std::optional<std::string> payload =
-      table_.lookup(cache_key(inst, spec, options));
-  if (!payload) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+std::optional<SolveResult> SolveCache::lookup(const CacheKey& key,
+                                              const Instance& inst) const {
+  const std::optional<std::string> payload = table_.lookup(key);
+  if (!payload) return std::nullopt;
   SolveResult result;
   try {
     result = wire::decode_result_payload(*payload);
   } catch (const std::runtime_error&) {
     // Never produced by this build's writers; treat like a miss rather
     // than poisoning the run.
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   if (result.schedule.n() != 0 && result.schedule.n() != inst.n()) {
     // The one cheap structural guard against a 128-bit key collision.
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (audit_enabled() && result.feasible && result.schedule.n() != 0) {
-    const AuditReport report = audit_schedule(
-        inst, result.schedule, result, {options.memory_capacity});
-    if (!report.ok()) {
-      throw std::logic_error("result cache audit: hit for spec \"" +
-                             std::string(spec) +
-                             "\" violates: " + report.to_string());
-    }
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
-void SolveCache::insert(const Instance& inst, std::string_view spec,
-                        const SolveOptions& options,
+void SolveCache::insert(const CacheKey& key, const SolveOptions& options,
                         const SolveResult& result) {
   if (cache_exempt(options)) return;
   // The payload carries the common fields, like the JSONL result line; the
-  // extras channels (sbo, rls, pareto) are not stored. An oversize payload
-  // is skipped before the key is hashed.
-  const std::string payload = wire::encode_result_payload(result);
-  if (!table_.admit(payload.size())) return;
-  if (table_.insert(cache_key(inst, spec, options), payload)) {
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // extras channels (sbo, rls, pareto) are not stored.
+  table_.insert(key, wire::encode_result_payload(result));
 }
 
-SolveCacheStats SolveCache::stats() const {
-  SolveCacheStats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.inserts = inserts_.load(std::memory_order_relaxed);
-  out.bytes = table_.stats().bytes;
-  return out;
+CachedSolve solve_cached(const Solver& solver, const Instance& inst,
+                         const SolveOptions& options, SolveCache* cache) {
+  if (cache == nullptr) return {solver.solve(inst, options)};
+  const CacheKey key = cache_key(inst, solver.name(), options);
+  if (std::optional<SolveResult> hit = cache->lookup(key, inst)) {
+    solver.audit(inst, *hit, options, "got an invalid result from the cache");
+    return {*std::move(hit), CacheOutcome::kHit};
+  }
+  CachedSolve cold{solver.solve(inst, options), CacheOutcome::kMiss};
+  cache->insert(key, options, cold.result);
+  return cold;
 }
 
 }  // namespace storesched::storage

@@ -20,16 +20,20 @@
 // costs one re-solve). Oversized payloads are skipped, counted, and never
 // split across slots.
 //
-// SolveCache is the solver-facing facade: it keys the instance with its
-// tasks in input order (storage/canonical.hpp), so a hit is the stored
-// cold result for the same input in the same order, bit-identical by
-// construction; a permutation of the tasks is a different input and
-// misses. Results computed under a deadline or a fired cancel token are
-// never inserted -- both can truncate a solve, and a cache must only
-// serve results any cold solve would reproduce. Under
-// STORESCHED_AUDIT=1 every hit's schedule is re-audited before it is
-// returned; a violation throws (a poisoned cache must stop the run, not
-// leak wrong answers).
+// SolveCache is the keyed facade over the table: results in, results out,
+// under keys of the instance with its tasks in input order
+// (storage/canonical.hpp), so a hit is the stored cold result for the
+// same input in the same order, bit-identical by construction; a
+// permutation of the tasks is a different input and misses. Results
+// computed under a deadline or a fired cancel token are never inserted --
+// both can truncate a solve, and a cache must only serve results any cold
+// solve would reproduce.
+//
+// The cache does not audit on its own: only the solver knows its rule
+// (whether it answers to the hard capacity). solve_cached(), the one
+// envelope every surface reaches the cache through, audits each hit with
+// Solver::audit, so under STORESCHED_AUDIT=1 a poisoned entry stops the
+// run instead of leaking a wrong answer.
 #pragma once
 
 #include <atomic>
@@ -81,10 +85,6 @@ class CacheTable {
   /// safe against concurrent writers in other processes.
   std::optional<std::string> lookup(const CacheKey& key) const;
 
-  /// True when a payload of `payload_size` bytes fits a slot; otherwise
-  /// counts it in stats().skipped and returns false.
-  bool admit(std::size_t payload_size);
-
   /// Stores `payload` under `key` (overwriting any colliding entry).
   /// Returns false -- counted in stats().skipped -- when the payload does
   /// not fit a slot.
@@ -106,16 +106,8 @@ class CacheTable {
   std::size_t payload_words_ = 0;  ///< payload capacity per slot, in words
 };
 
-/// Per-facade counters (one process's view; serve statsz reports these).
-struct SolveCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t bytes = 0;  ///< shared table payload bytes (region-wide)
-};
-
-/// Solver-facing cache facade. Thread-safe: lookup/insert may be called
-/// from any number of pipeline workers concurrently.
+/// Solve results in and out of a CacheTable, under CacheKeys. Thread-safe:
+/// lookup/insert may be called from any number of threads concurrently.
 class SolveCache {
  public:
   /// Cache geometry defaults: 4096 slots x 1 KiB payload = ~4.2 MiB.
@@ -130,34 +122,57 @@ class SolveCache {
   SolveCache(void* base, std::size_t size, std::size_t slot_count,
              std::size_t payload_bytes, bool initialize);
 
-  /// Returns the cached result for (inst, spec, options), or nullopt.
-  /// Under STORESCHED_AUDIT=1 the hit is audited against `inst` first; a
-  /// violation throws std::logic_error.
+  /// Returns the result stored under `key`, or nullopt. An entry that does
+  /// not decode, or whose schedule does not cover `inst`'s n tasks (the
+  /// one cheap guard against a key collision), reads as a miss.
+  std::optional<SolveResult> lookup(const CacheKey& key,
+                                    const Instance& inst) const;
+
+  /// Stores a cold solve's result under `key`. No-op (and not an error)
+  /// when the result is not cacheable: solved under a deadline, or after
+  /// its cancel token fired, or with a payload too large for a slot.
+  void insert(const CacheKey& key, const SolveOptions& options,
+              const SolveResult& result);
+
+  /// The same calls keyed from (inst, spec, options); `spec` is the
+  /// solver's canonical name.
   std::optional<SolveResult> lookup(const Instance& inst,
                                     std::string_view spec,
-                                    const SolveOptions& options);
-
-  /// Inserts a cold solve's result. No-op (and not an error) when the
-  /// result is not cacheable: solved under a deadline, or with a cancel
-  /// token attached, or with a payload too large for a slot.
+                                    const SolveOptions& options) const {
+    return lookup(cache_key(inst, spec, options), inst);
+  }
   void insert(const Instance& inst, std::string_view spec,
-              const SolveOptions& options, const SolveResult& result);
+              const SolveOptions& options, const SolveResult& result) {
+    insert(cache_key(inst, spec, options), options, result);
+  }
 
-  /// This process's hit/miss/insert counts plus the shared table's
-  /// current payload byte total.
-  SolveCacheStats stats() const;
-
-  /// The shared table's own (region-wide) counters.
+  /// The table's own (region-wide) counters.
   CacheTableStats table_stats() const { return table_.stats(); }
 
  private:
   CacheTable table_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
 };
 
 /// True when `options` disqualify a solve from cache insertion.
 bool cache_exempt(const SolveOptions& options);
+
+/// What the cache did for one solve_cached() call.
+enum class CacheOutcome { kOff, kHit, kMiss };
+
+struct CachedSolve {
+  SolveResult result;
+  CacheOutcome cache = CacheOutcome::kOff;
+};
+
+/// The solve envelope of every surface: solve_stream (so every CLI mode
+/// and solve_batch) and storesched_serve. Without a cache it is
+/// solver.solve(inst, options). With one it computes the key once, from
+/// solver.name(); a hit is audited by Solver::audit and returned, and a
+/// miss is solved cold and inserted under the same key. Cancel, deadline
+/// and the cold audit stay inside Solver::solve; retries, failure
+/// policies and counters stay with the callers. Throws what the solve or
+/// the hit's audit throws.
+CachedSolve solve_cached(const Solver& solver, const Instance& inst,
+                         const SolveOptions& options, SolveCache* cache);
 
 }  // namespace storesched::storage

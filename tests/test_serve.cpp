@@ -852,6 +852,39 @@ TEST_F(ServeServerTest, ResultCacheAnswersDuplicatesAndCountsThem) {
   server.shutdown();
 }
 
+TEST_F(ServeServerTest, SpellingsOfOneSpecShareACacheEntry) {
+  // The cache keys by the solver's canonical name, as the CLI does: "sbo:lpt"
+  // and "sbo:lpt,delta=1" are one solver, so the second request hits.
+  // Each response still echoes its own request's spec text.
+  storage::SolveCache cache;
+  ServeOptions options = base_options("cachename");
+  options.cache = &cache;
+  ServeServer server(options);
+  server.start();
+  TestClient client(options.unix_path);
+  client.send_line(
+      std::string(R"({"id":"short","spec":"sbo:lpt","instance":)") +
+      kInstance + "}");
+  const auto short_spec = client.read_line();
+  ASSERT_TRUE(short_spec);
+  client.send_line(
+      std::string(R"({"id":"long","spec":"sbo:lpt,delta=1","instance":)") +
+      kInstance + "}");
+  const auto long_spec = client.read_line();
+  ASSERT_TRUE(long_spec);
+  EXPECT_TRUE(contains(*short_spec, R"("spec":"sbo:lpt",)")) << *short_spec;
+  EXPECT_TRUE(contains(*long_spec, R"("spec":"sbo:lpt,delta=1",)"))
+      << *long_spec;
+  EXPECT_EQ(fields_after(*short_spec), fields_after(*long_spec));
+
+  client.send_line(R"({"id":"s","statsz":true})");
+  const auto statsz = client.read_line();
+  ASSERT_TRUE(statsz);
+  EXPECT_TRUE(contains(*statsz, R"("cache_hits":1,)")) << *statsz;
+  EXPECT_TRUE(contains(*statsz, R"("cache_misses":1,)")) << *statsz;
+  server.shutdown();
+}
+
 TEST_F(ServeServerTest, RefWithoutAStoreAnswersAnErrorNotADrop) {
   ServeOptions options = base_options("refless");
   ServeServer server(options);

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include "common/dag.hpp"
+#include "common/failpoint.hpp"
 #include "common/instance.hpp"
 #include "core/solver.hpp"
 #include "core/stream.hpp"
@@ -32,8 +33,11 @@ namespace storesched {
 namespace {
 
 // audit_enabled() latches STORESCHED_AUDIT once, at its first call; set it
-// before main() so *every* cache hit in this binary is audit-verified
-// against its instance (a poisoned hit throws instead of passing).
+// before main() so every cold solve and every hit served through the
+// envelope (storage::solve_cached, which solve_stream uses) in this binary
+// is audit-verified against its instance: a poisoned hit throws instead
+// of passing. Direct SolveCache lookups are keyed table reads and are not
+// audited.
 const bool kAuditEnv = [] {
   ::setenv("STORESCHED_AUDIT", "1", 1);
   return true;
@@ -43,6 +47,8 @@ using storage::CacheKey;
 using storage::CacheTable;
 using storage::ShmStore;
 using storage::SolveCache;
+using testing::kTiedFirst;
+using testing::kTiedSecond;
 using testing::make_instance;
 
 /// The serializer the acceptance criteria compare through: a hit must be
@@ -59,12 +65,7 @@ CacheKey key_of(const Instance& inst, std::string_view spec,
   return storage::cache_key(inst, spec, options);
 }
 
-/// Two orders of one task multiset, tied in p (line 1 and line 2 of the
-/// cache-folding reproduction): every spec below solves them differently.
-const Instance kTiedFirst = make_instance({5, 5, 3, 3, 2, 4, 4},
-                                          {1, 9, 3, 7, 2, 8, 1}, 2);
-const Instance kTiedSecond = make_instance({5, 5, 3, 3, 2, 4, 4},
-                                           {9, 1, 7, 3, 2, 1, 8}, 2);
+/// Every spec below solves the tied pair (test_util.hpp) differently.
 const char* const kTiedSpecs[] = {"graham:lpt", "sbo:lpt,delta=1",
                                   "rls:input,delta=3", "rls:lpt,delta=3"};
 
@@ -171,7 +172,7 @@ TEST(CanonicalKey, DagInstancesKeepTheirIdentity) {
 }
 
 // ---------------------------------------------------------------------------
-// SolveCache: hits, exemptions, audit.
+// SolveCache: hits and exemptions.
 // ---------------------------------------------------------------------------
 
 TEST(SolveCache, ExactDuplicateHitsAreBitIdenticalAcrossSpecs) {
@@ -193,7 +194,7 @@ TEST(SolveCache, ExactDuplicateHitsAreBitIdenticalAcrossSpecs) {
       ++expected_hits;
     }
   }
-  const storage::SolveCacheStats stats = cache.stats();
+  const storage::CacheTableStats stats = cache.table_stats();
   EXPECT_EQ(stats.hits, expected_hits);
   EXPECT_EQ(stats.inserts, expected_hits);
   EXPECT_GT(stats.bytes, 0u);
@@ -236,7 +237,7 @@ TEST(SolveCache, DeadlineSolvesAreNeverInserted) {
   ASSERT_TRUE(storage::cache_exempt(options));
 
   cache.insert(inst, spec, options, solver->solve(inst, options));
-  EXPECT_EQ(cache.stats().inserts, 0u);
+  EXPECT_EQ(cache.table_stats().inserts, 0u);
   // Not even findable without the deadline: nothing was stored.
   EXPECT_FALSE(cache.lookup(inst, spec, SolveOptions{}).has_value());
 }
@@ -253,7 +254,7 @@ TEST(SolveCache, ArmedButIdleCancelTokensStillInsert) {
   idle.cancel = std::make_shared<CancelToken>();
   ASSERT_FALSE(storage::cache_exempt(idle));
   cache.insert(inst, spec, idle, solver->solve(inst, idle));
-  EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(cache.table_stats().inserts, 1u);
 
   auto fired = std::make_shared<CancelToken>();
   fired->request_cancel("test");
@@ -262,7 +263,7 @@ TEST(SolveCache, ArmedButIdleCancelTokensStillInsert) {
   EXPECT_TRUE(storage::cache_exempt(cancelled));
   const Instance other = make_instance({4, 4}, {1, 1}, 2);
   cache.insert(other, spec, cancelled, solver->solve(inst, SolveOptions{}));
-  EXPECT_EQ(cache.stats().inserts, 1u);  // unchanged
+  EXPECT_EQ(cache.table_stats().inserts, 1u);  // unchanged
 }
 
 TEST(SolveCache, OversizePayloadsAreSkippedNotStored) {
@@ -282,7 +283,6 @@ TEST(SolveCache, OversizePayloadsAreSkippedNotStored) {
   EXPECT_EQ(table.skipped, 1u);
   EXPECT_EQ(table.inserts, 0u);
   EXPECT_EQ(table.bytes, 0u);
-  EXPECT_EQ(cache.stats().inserts, 0u);
   EXPECT_FALSE(cache.lookup(inst, spec, options).has_value());
 }
 
@@ -301,6 +301,169 @@ TEST(SolveCache, HitsSurviveExtrasChannelsOnTheColdResult) {
   ASSERT_TRUE(warm.has_value());
   EXPECT_FALSE(warm->sbo.has_value());  // extras are not cached ...
   EXPECT_EQ(full_jsonl(cold), full_jsonl(*warm));  // ... the wire is equal
+}
+
+// ---------------------------------------------------------------------------
+// solve_cached: the one solve envelope.
+// ---------------------------------------------------------------------------
+
+/// graham:lpt loads both processors to Mmax 7 here: over a capacity of 3,
+/// which graham ignores and constrained:* must meet.
+const Instance kOverCapacity = make_instance({5, 5, 3, 3}, {4, 4, 3, 3}, 2);
+
+/// Full result lines of one single-worker solve_stream run over `instances`.
+std::string stream_lines(const Solver& solver,
+                         const std::vector<Instance>& instances,
+                         const SolveOptions& options, SolveCache* cache) {
+  std::vector<SolveResult> results(instances.size());
+  SpanSource source(instances);
+  VectorSink sink(results);
+  StreamOptions stream;
+  stream.cache = cache;
+  stream.threads = 1;
+  solve_stream(solver, source, sink, options, stream);
+  std::string lines;
+  for (const SolveResult& result : results) lines += full_jsonl(result) + '\n';
+  return lines;
+}
+
+TEST(SolveCached, HitIsAuditedByItsSolversCapacityRule) {
+  // A cold graham:lpt result passes the audit over a capacity it does not
+  // claim to meet; its hit must pass the same rule, not the cache's own.
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+  SolveOptions options;
+  options.memory_capacity = 3;
+  const std::vector<Instance> twice(2, kOverCapacity);
+  SolveCache cache;
+  EXPECT_EQ(stream_lines(*solver, twice, options, &cache),
+            stream_lines(*solver, twice, options, nullptr));
+  EXPECT_EQ(cache.table_stats().hits, 1u);
+}
+
+TEST(SolveCached, CapacitySolversStillAuditTheirHitsAgainstIt) {
+  // Control: constrained:* answers to the capacity, so graham's Mmax-7
+  // result stored under its key is a poisoned hit.
+  const std::unique_ptr<Solver> graham = make_solver("graham:lpt");
+  const std::unique_ptr<Solver> solver =
+      make_solver("constrained:rls,tiebreak=lpt");
+  SolveOptions options;
+  options.memory_capacity = 3;
+  SolveCache cache;
+  cache.insert(kOverCapacity, solver->name(), options,
+               graham->solve(kOverCapacity, options));
+  try {
+    stream_lines(*solver, {kOverCapacity}, options, &cache);
+    ADD_FAILURE() << "a hit over the capacity passed its audit";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("exceeds the hard capacity 3"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(SolveCached, PoisonedHitStopsTheRunAtItsRecord) {
+  // A's result stored under the key of B (same n, other weights): its
+  // objectives do not reproduce from B, so the run must abort at B's index
+  // instead of answering it.
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+  const Instance a = make_instance({9, 1, 2, 7, 5}, {1, 8, 9, 3, 4}, 2);
+  const Instance b = make_instance({4, 4, 4, 4, 4}, {5, 5, 5, 5, 5}, 2);
+  SolveCache cache;
+  cache.insert(b, solver->name(), {}, solver->solve(a));
+  try {
+    stream_lines(*solver, {a, b}, {}, &cache);
+    ADD_FAILURE() << "a poisoned hit was answered";
+  } catch (const std::logic_error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("solve_stream: instance 1: STORESCHED_AUDIT: "
+                        "graham:lpt got an invalid result from the cache"),
+              std::string::npos)
+        << what;
+  }
+}
+
+/// Counts name() calls -- the solver's only input to the cache key --
+/// around another solver, the way perfbench's TracedSolver wraps one.
+class NameCountingSolver final : public Solver {
+ public:
+  explicit NameCountingSolver(const Solver& inner) : inner_(inner) {}
+  std::string name() const override {
+    names.fetch_add(1, std::memory_order_relaxed);
+    return inner_.name();
+  }
+  Capabilities capabilities(int m) const override {
+    return inner_.capabilities(m);
+  }
+
+  mutable std::atomic<std::size_t> names{0};
+
+ protected:
+  SolveResult do_solve(const Instance& inst,
+                       const SolveOptions& options) const override {
+    return inner_.solve(inst, options);
+  }
+
+ private:
+  const Solver& inner_;
+};
+
+TEST(SolveCached, KeysOncePerCallWithACacheAndNeverWithout) {
+  const std::unique_ptr<Solver> inner = make_solver("sbo:lpt,delta=1");
+  const NameCountingSolver solver(*inner);
+  const Instance inst = make_instance({9, 1, 2, 7, 5}, {1, 8, 9, 3, 4}, 2);
+  SolveCache cache;
+  using storage::CacheOutcome;
+  EXPECT_EQ(storage::solve_cached(solver, inst, {}, &cache).cache,
+            CacheOutcome::kMiss);
+  EXPECT_EQ(solver.names.load(), 1u);
+  EXPECT_EQ(storage::solve_cached(solver, inst, {}, &cache).cache,
+            CacheOutcome::kHit);
+  EXPECT_EQ(solver.names.load(), 2u);
+  EXPECT_EQ(storage::solve_cached(solver, inst, {}, nullptr).cache,
+            CacheOutcome::kOff);
+  EXPECT_EQ(solver.names.load(), 2u);
+
+  // solve_stream: one key per record, hit or miss; none without a cache.
+  const std::vector<Instance> once = cache_fixture_instances();
+  std::vector<Instance> instances = once;
+  instances.insert(instances.end(), once.begin(), once.end());
+  stream_lines(solver, instances, {}, &cache);
+  EXPECT_EQ(solver.names.load(), 2u + instances.size());
+  stream_lines(solver, instances, {}, nullptr);
+  EXPECT_EQ(solver.names.load(), 2u + instances.size());
+}
+
+TEST(SolveCached, RetriedAttemptAnswersAndInsertsSoALaterDuplicateHits) {
+  // The failpoint fires before each attempt's lookup: the first attempt
+  // throws before consulting the cache, the retry misses, solves and
+  // inserts, and the duplicates after it hit.
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+  const Instance inst = make_instance({9, 1, 2, 7, 5}, {1, 8, 9, 3, 4}, 2);
+  const std::vector<Instance> instances(3, inst);
+  SolveCache cache;
+  StreamOptions stream;
+  stream.cache = &cache;
+  stream.threads = 1;
+  stream.on_error.action = FailureAction::kRetry;
+  std::vector<SolveResult> results(instances.size());
+  SpanSource source(instances);
+  VectorSink sink(results);
+  failpoint::set("stream.solve", "nth(1):throw");
+  const StreamStats stats = solve_stream(*solver, source, sink, {}, stream);
+  failpoint::clear_all();
+
+  EXPECT_EQ(stats.delivered, instances.size());
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.recovered, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  const storage::CacheTableStats table = cache.table_stats();
+  EXPECT_EQ(table.misses, 1u);
+  EXPECT_EQ(table.inserts, 1u);
+  EXPECT_EQ(table.hits, 2u);
+  for (const SolveResult& result : results) {
+    EXPECT_EQ(full_jsonl(result), full_jsonl(solver->solve(inst)));
+  }
 }
 
 // ---------------------------------------------------------------------------

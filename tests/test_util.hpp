@@ -19,6 +19,14 @@ inline Instance make_instance(std::vector<Time> p, std::vector<Mem> s, int m) {
   return Instance(std::move(tasks), m);
 }
 
+/// Two orders of one task multiset, tied in p: graham:lpt, sbo:lpt,delta=1,
+/// rls:input,delta=3 and rls:lpt,delta=3 each answer them differently, so
+/// they must never share a result-cache entry.
+inline const Instance kTiedFirst = make_instance({5, 5, 3, 3, 2, 4, 4},
+                                                 {1, 9, 3, 7, 2, 8, 1}, 2);
+inline const Instance kTiedSecond = make_instance({5, 5, 3, 3, 2, 4, 4},
+                                                  {9, 1, 7, 3, 2, 1, 8}, 2);
+
 /// Extracts the processing-time weights of an instance.
 inline std::vector<std::int64_t> p_weights(const Instance& inst) {
   std::vector<std::int64_t> w;
