@@ -1,10 +1,11 @@
 #include "algorithms/graham.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
+
+#include "algorithms/partition.hpp"
 
 namespace storesched {
 
@@ -23,42 +24,26 @@ std::string to_string(PriorityPolicy policy) {
 std::vector<TaskId> priority_order(const Instance& inst,
                                    PriorityPolicy policy) {
   std::vector<TaskId> order(inst.n());
-  std::iota(order.begin(), order.end(), 0);
-
-  // Ties break by id, which yields the stable order without a merge buffer.
-  const auto by_key = [&](auto key) {
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      const auto ka = key(a);
-      const auto kb = key(b);
-      return ka < kb || (ka == kb && a < b);
-    });
-  };
-
-  switch (policy) {
-    case PriorityPolicy::kInputOrder:
-      break;
-    case PriorityPolicy::kSpt:
-      by_key([&](TaskId i) { return inst.task(i).p; });
-      break;
-    case PriorityPolicy::kLpt:
-      by_key([&](TaskId i) { return -inst.task(i).p; });
-      break;
-    case PriorityPolicy::kBottomLevel: {
-      if (inst.has_precedence()) {
-        const auto bl = inst.dag().bottom_levels(inst.tasks());
-        by_key([&](TaskId i) { return -bl[static_cast<std::size_t>(i)]; });
-      } else {
-        by_key([&](TaskId i) { return -inst.task(i).p; });
-      }
-      break;
-    }
-    case PriorityPolicy::kSmallestStorage:
-      by_key([&](TaskId i) { return inst.task(i).s; });
-      break;
-    case PriorityPolicy::kLargestStorage:
-      by_key([&](TaskId i) { return -inst.task(i).s; });
-      break;
+  if (policy == PriorityPolicy::kInputOrder) {
+    std::iota(order.begin(), order.end(), 0);
+    return order;
   }
+  if (policy == PriorityPolicy::kBottomLevel && inst.has_precedence()) {
+    const std::vector<Time> bl = inst.dag().bottom_levels(inst.tasks());
+    stable_key_order<TaskId>(bl, /*descending=*/true, order);
+    return order;
+  }
+  // Independent bottom levels are the processing times.
+  const bool by_storage = policy == PriorityPolicy::kSmallestStorage ||
+                          policy == PriorityPolicy::kLargestStorage;
+  const bool descending = policy != PriorityPolicy::kSpt &&
+                          policy != PriorityPolicy::kSmallestStorage;
+  std::vector<std::int64_t> keys(inst.n());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Task& t = inst.task(static_cast<TaskId>(i));
+    keys[i] = by_storage ? t.s : t.p;
+  }
+  stable_key_order<TaskId>(keys, descending, order);
   return order;
 }
 
@@ -66,23 +51,29 @@ Schedule graham_list_schedule(const Instance& inst, PriorityPolicy policy) {
   if (inst.has_precedence()) return graham_event_schedule(inst, policy);
   // Every independent task is ready at t = 0, so each one, in priority
   // order, goes to the processor the simulation would fill next: the least
-  // (free time, depth, id). Depth counts the zero-length tasks a processor
-  // has just run at its free time; the simulation fills every processor
-  // idle at t before it releases one whose task had p = 0.
-  using Slot = std::tuple<Time, std::size_t, ProcId>;
-  std::vector<Slot> idle;
-  idle.reserve(static_cast<std::size_t>(inst.m()));
-  for (ProcId q = 0; q < inst.m(); ++q) idle.emplace_back(0, 0, q);
-  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> slots(
-      std::greater<>{}, std::move(idle));
-
+  // (free time, depth, id), found by a scan over the m processors. Depth
+  // counts the zero-length tasks a processor has just run at its free
+  // time; the simulation fills every processor idle at t before it
+  // releases one whose task had p = 0.
+  const std::vector<TaskId> order = priority_order(inst, policy);
+  const int m = inst.m();
+  std::vector<std::pair<Time, std::size_t>> slots(
+      static_cast<std::size_t>(m));  // (free time, depth) per processor
   Schedule sched(inst);
-  for (const TaskId i : priority_order(inst, policy)) {
-    const auto [t, depth, q] = slots.top();
-    slots.pop();
+  for (const TaskId i : order) {
+    ProcId q = 0;
+    Time t = slots[0].first;
+    std::size_t d = slots[0].second;
+    for (ProcId r = 1; r < m; ++r) {
+      const auto [tr, dr] = slots[static_cast<std::size_t>(r)];
+      const bool less = tr < t || (tr == t && dr < d);
+      t = less ? tr : t;
+      d = less ? dr : d;
+      q = less ? r : q;
+    }
     sched.assign(i, q, t);
     const Time p = inst.task(i).p;
-    slots.emplace(t + p, p > 0 ? 0 : depth + 1, q);
+    slots[static_cast<std::size_t>(q)] = {t + p, p > 0 ? 0 : d + 1};
   }
   return sched;
 }

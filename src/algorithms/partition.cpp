@@ -1,12 +1,13 @@
 #include "algorithms/partition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
-#include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace storesched {
 
@@ -63,60 +64,175 @@ std::int64_t partition_value(std::span<const std::int64_t> weights,
   return *std::max_element(load.begin(), load.end());
 }
 
+namespace {
+
+template <bool kDescending, class Index>
+void stable_key_order_in(std::span<const std::int64_t> keys,
+                         std::span<Index> order) {
+  const std::size_t n = keys.size();
+  if (n == 0) return;
+  std::int64_t least = keys[0];
+  std::int64_t greatest = keys[0];
+  for (const std::int64_t k : keys) {
+    least = std::min(least, k);
+    greatest = std::max(greatest, k);
+  }
+  // Offsets from the least key (the greatest, descending) make both
+  // directions one ascending sort of unsigned values; the unsigned
+  // difference is exact for any two int64 keys.
+  const auto lo = static_cast<std::uint64_t>(least);
+  const auto hi = static_cast<std::uint64_t>(greatest);
+  const auto offset = [&](std::size_t i) {
+    const auto k = static_cast<std::uint64_t>(keys[i]);
+    return kDescending ? hi - k : k - lo;
+  };
+  // A spread under one byte bounds every offset; a wider one is the OR of
+  // the offsets, so a byte no key sets costs no pass.
+  std::uint64_t spread = hi - lo;
+  if (spread > 0xFF) {
+    spread = 0;
+    for (std::size_t i = 0; i < n; ++i) spread |= offset(i);
+  }
+  if (spread == 0) {  // all keys equal
+    std::iota(order.begin(), order.end(), Index{0});
+    return;
+  }
+
+  // LSD radix sort: one stable counting pass per byte of spread that is not
+  // zero, lowest first. The first pass scatters the positions 0..n-1, each
+  // later one the pass before's output; they ping-pong between `order` and
+  // a spare, starting on the side that puts the last pass in `order`.
+  int passes = 0;
+  for (std::uint64_t rest = spread; rest != 0; rest >>= 8) {
+    passes += (rest & 0xFF) != 0 ? 1 : 0;
+  }
+  std::vector<Index> spare(passes > 1 ? n : 0);
+  Index* dst = passes % 2 == 1 ? order.data() : spare.data();
+  const Index* src = nullptr;
+  std::array<std::size_t, 256> count;
+  for (int shift = 0; shift < 64; shift += 8) {
+    const std::size_t top_digit = (spread >> shift) & 0xFF;
+    if (top_digit == 0) continue;
+    const auto digit = [&](std::size_t i) {
+      return static_cast<std::size_t>((offset(i) >> shift) & 0xFF);
+    };
+    std::fill(count.begin(), count.begin() + top_digit + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) ++count[digit(i)];
+    // Each bucket's count becomes its first output slot.
+    std::size_t slot = 0;
+    for (std::size_t d = 0; d <= top_digit; ++d) {
+      const std::size_t c = count[d];
+      count[d] = slot;
+      slot += c;
+    }
+    if (src == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[count[digit(i)]++] = static_cast<Index>(i);
+      }
+    } else {
+      for (std::size_t j = 0; j < n; ++j) {
+        dst[count[digit(static_cast<std::size_t>(src[j]))]++] = src[j];
+      }
+    }
+    src = dst;
+    dst = dst == order.data() ? spare.data() : order.data();
+  }
+}
+
+}  // namespace
+
+template <class Index>
+void stable_key_order(std::span<const std::int64_t> keys, bool descending,
+                      std::span<Index> order) {
+  if (descending) {
+    stable_key_order_in<true>(keys, order);
+  } else {
+    stable_key_order_in<false>(keys, order);
+  }
+}
+
+template void stable_key_order<std::size_t>(std::span<const std::int64_t>,
+                                            bool, std::span<std::size_t>);
+template void stable_key_order<TaskId>(std::span<const std::int64_t>, bool,
+                                       std::span<TaskId>);
+
 std::vector<std::size_t> decreasing_order(
     std::span<const std::int64_t> weights) {
   std::vector<std::size_t> order(weights.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (weights[a] != weights[b]) return weights[a] > weights[b];
-    return a < b;
-  });
+  stable_key_order<std::size_t>(weights, /*descending=*/true, order);
   return order;
 }
 
 std::vector<std::size_t> increasing_order(
     std::span<const std::int64_t> weights) {
   std::vector<std::size_t> order(weights.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (weights[a] != weights[b]) return weights[a] < weights[b];
-    return a < b;
-  });
+  stable_key_order<std::size_t>(weights, /*descending=*/false, order);
   return order;
 }
+
+void check_permutation(std::span<const std::size_t> order, std::size_t n,
+                       const char* who) {
+  if (order.size() != n) {
+    throw std::invalid_argument(std::string(who) + ": order size mismatch");
+  }
+  std::vector<bool> seen(n, false);
+  for (const std::size_t i : order) {
+    if (i >= n) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": order entry out of range");
+    }
+    if (seen[i]) {
+      throw std::invalid_argument(std::string(who) + ": repeated order entry");
+    }
+    seen[i] = true;
+  }
+}
+
+namespace {
+
+/// List scheduling in `order`, which the caller guarantees is a
+/// permutation: each weight goes to the least (load, id) processor, found
+/// by a scan over the m loads.
+std::vector<ProcId> list_place(std::span<const std::int64_t> weights,
+                               std::span<const std::size_t> order, int m) {
+  std::vector<ProcId> assign(weights.size(), kNoProc);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(m), 0);
+  for (const std::size_t i : order) {
+    // Strictly less, so the lowest id wins ties (as in Algorithm 2).
+    ProcId q = 0;
+    std::int64_t least = load[0];
+    for (ProcId r = 1; r < m; ++r) {
+      const std::int64_t l = load[static_cast<std::size_t>(r)];
+      const bool less = l < least;
+      least = less ? l : least;
+      q = less ? r : q;
+    }
+    assign[i] = q;
+    load[static_cast<std::size_t>(q)] = least + weights[i];
+  }
+  return assign;
+}
+
+}  // namespace
 
 std::vector<ProcId> list_assign_ordered(std::span<const std::int64_t> weights,
                                         std::span<const std::size_t> order,
                                         int m) {
   check_inputs(weights, m);
-  if (order.size() != weights.size()) {
-    throw std::invalid_argument("list_assign_ordered: order size mismatch");
-  }
-  // Min-heap of (load, proc); proc as tiebreak keeps the choice
-  // deterministic (lowest-indexed among least loaded, as in Algorithm 2).
-  using Entry = std::pair<std::int64_t, ProcId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (ProcId q = 0; q < m; ++q) heap.push({0, q});
-
-  std::vector<ProcId> assign(weights.size(), kNoProc);
-  for (const std::size_t i : order) {
-    auto [load, q] = heap.top();
-    heap.pop();
-    assign[i] = q;
-    heap.push({load + weights[i], q});
-  }
-  return assign;
+  check_permutation(order, weights.size(), "list_assign_ordered");
+  return list_place(weights, order, m);
 }
 
 std::vector<ProcId> list_assign(std::span<const std::int64_t> weights, int m) {
+  check_inputs(weights, m);
   std::vector<std::size_t> order(weights.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  return list_assign_ordered(weights, order, m);
+  return list_place(weights, order, m);
 }
 
 std::vector<ProcId> lpt_assign(std::span<const std::int64_t> weights, int m) {
-  const auto order = decreasing_order(weights);
-  return list_assign_ordered(weights, order, m);
+  check_inputs(weights, m);
+  return list_place(weights, decreasing_order(weights), m);
 }
 
 namespace {
@@ -153,7 +269,7 @@ std::vector<ProcId> multifit_assign(std::span<const std::int64_t> weights,
 
   std::int64_t lo = partition_lower_bound(weights, m);
   // LPT is always FFD-feasible at its own makespan, so it seeds the upper end.
-  const auto lpt = lpt_assign(weights, m);
+  const auto lpt = list_place(weights, dec, m);
   std::int64_t hi = partition_value(weights, lpt, m);
 
   std::vector<ProcId> best = lpt;
@@ -561,7 +677,7 @@ std::vector<ProcId> exact_bnb_assign(std::span<const std::int64_t> weights,
   search.load.assign(static_cast<std::size_t>(m), 0);
   search.assign.assign(weights.size(), kNoProc);
   // Seed with LPT: a valid incumbent tightens pruning immediately.
-  search.best_assign = lpt_assign(weights, m);
+  search.best_assign = list_place(weights, dec, m);
   search.best = partition_value(weights, search.best_assign, m);
   search.suffix_sum.assign(weights.size() + 1, 0);
   for (std::size_t i = weights.size(); i-- > 0;) {

@@ -35,10 +35,17 @@ std::int64_t partition_value(std::span<const std::int64_t> weights,
 /// least-loaded processor. Ratio 2 - 1/m [Graham 1969].
 std::vector<ProcId> list_assign(std::span<const std::int64_t> weights, int m);
 
-/// List Scheduling in the order given by `order` (a permutation of indices).
+/// List Scheduling in the order given by `order`: each weight goes to the
+/// least (load, id) processor. Throws std::invalid_argument unless `order`
+/// is a permutation of the weight indices.
 std::vector<ProcId> list_assign_ordered(std::span<const std::int64_t> weights,
                                         std::span<const std::size_t> order,
                                         int m);
+
+/// Throws std::invalid_argument, naming `who`, unless `order` is a
+/// permutation of 0..n-1 (no entry >= n, none repeated).
+void check_permutation(std::span<const std::size_t> order, std::size_t n,
+                       const char* who);
 
 /// Longest Processing Time first. Ratio 4/3 - 1/(3m) [Graham 1969].
 std::vector<ProcId> lpt_assign(std::span<const std::int64_t> weights, int m);
@@ -82,5 +89,14 @@ std::int64_t exact_dp_value(std::span<const std::int64_t> weights, int m);
 std::vector<std::size_t> decreasing_order(std::span<const std::int64_t> weights);
 /// Indices sorted by increasing weight (ties by index).
 std::vector<std::size_t> increasing_order(std::span<const std::int64_t> weights);
+
+/// The ordering primitive behind decreasing_order, increasing_order and
+/// priority_order: writes into `order` (size keys.size()) the positions of
+/// `keys` in the order a stable sort by key gives, ties by position. An LSD
+/// radix sort over the key bytes that vary (docs/ALGORITHMS.md, "Graham
+/// list scheduling").
+template <class Index>
+void stable_key_order(std::span<const std::int64_t> keys, bool descending,
+                      std::span<Index> order);
 
 }  // namespace storesched

@@ -55,13 +55,13 @@ Fraction uniform_lower_bound(std::span<const std::int64_t> weights,
   return Fraction::max(Fraction(sum_w, sum_s), Fraction(max_w, max_s));
 }
 
-std::vector<ProcId> uniform_list_assign(std::span<const std::int64_t> weights,
-                                        std::span<const std::size_t> order,
-                                        std::span<const std::int64_t> speeds) {
-  check_speeds(speeds);
-  if (order.size() != weights.size()) {
-    throw std::invalid_argument("uniform_list_assign: order size mismatch");
-  }
+namespace {
+
+/// Earliest-completion-time placement in `order`, which the caller
+/// guarantees is a permutation.
+std::vector<ProcId> uniform_place(std::span<const std::int64_t> weights,
+                                  std::span<const std::size_t> order,
+                                  std::span<const std::int64_t> speeds) {
   std::vector<std::int64_t> work(speeds.size(), 0);
   std::vector<ProcId> assign(weights.size(), kNoProc);
   for (const std::size_t i : order) {
@@ -79,10 +79,20 @@ std::vector<ProcId> uniform_list_assign(std::span<const std::int64_t> weights,
   return assign;
 }
 
+}  // namespace
+
+std::vector<ProcId> uniform_list_assign(std::span<const std::int64_t> weights,
+                                        std::span<const std::size_t> order,
+                                        std::span<const std::int64_t> speeds) {
+  check_speeds(speeds);
+  check_permutation(order, weights.size(), "uniform_list_assign");
+  return uniform_place(weights, order, speeds);
+}
+
 std::vector<ProcId> uniform_lpt_assign(std::span<const std::int64_t> weights,
                                        std::span<const std::int64_t> speeds) {
-  const auto order = decreasing_order(weights);
-  return uniform_list_assign(weights, order, speeds);
+  check_speeds(speeds);
+  return uniform_place(weights, decreasing_order(weights), speeds);
 }
 
 }  // namespace storesched

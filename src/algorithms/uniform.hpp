@@ -36,7 +36,8 @@ Fraction uniform_lower_bound(std::span<const std::int64_t> weights,
 
 /// Earliest-completion-time list scheduling in the given order: each weight
 /// goes to the processor minimizing (work_q + w) / speed_q. Ties break by
-/// lowest processor id.
+/// lowest processor id. Throws std::invalid_argument unless `order` is a
+/// permutation of the weight indices.
 std::vector<ProcId> uniform_list_assign(std::span<const std::int64_t> weights,
                                         std::span<const std::size_t> order,
                                         std::span<const std::int64_t> speeds);

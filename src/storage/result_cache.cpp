@@ -105,7 +105,9 @@ CacheTable::Word* CacheTable::slot(std::size_t index) const {
 
 std::optional<std::string> CacheTable::lookup(const CacheKey& key) const {
   const std::size_t mask = slot_count_ - 1;
-  std::vector<std::uint64_t> buf(payload_words_);
+  // Sized on a stable key match only, so a miss allocates nothing and a hit
+  // copies its payload once, straight into the returned string.
+  std::string out;
   for (std::size_t w = 0; w < kProbeWindow && w < slot_count_; ++w) {
     Word* s = slot((key.lo + w) & mask);
     for (int attempt = 0; attempt < kReadRetries; ++attempt) {
@@ -118,14 +120,22 @@ std::optional<std::string> CacheTable::lookup(const CacheKey& key) const {
       if (s[0].load(std::memory_order_relaxed) != s1) continue;  // torn
       if (hi != key.hi || lo != key.lo) break;  // stable non-match
       if (size > payload_words_ * 8) break;     // never written like this
-      const std::size_t words = (size + 7) / 8;
-      for (std::size_t i = 0; i < words; ++i) {
-        buf[i] = s[kSlotMetaWords + i].load(std::memory_order_relaxed);
+      out.resize(size);
+      const std::size_t whole = size / 8;
+      for (std::size_t i = 0; i < whole; ++i) {
+        const std::uint64_t word =
+            s[kSlotMetaWords + i].load(std::memory_order_relaxed);
+        std::memcpy(out.data() + i * 8, &word, 8);
+      }
+      if (size % 8 != 0) {
+        const std::uint64_t word =
+            s[kSlotMetaWords + whole].load(std::memory_order_relaxed);
+        std::memcpy(out.data() + whole * 8, &word, size % 8);
       }
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s[0].load(std::memory_order_relaxed) != s1) continue;  // torn
       header_[kHdrHits].fetch_add(1, std::memory_order_relaxed);
-      return std::string(reinterpret_cast<const char*>(buf.data()), size);
+      return out;
     }
   }
   header_[kHdrMisses].fetch_add(1, std::memory_order_relaxed);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -86,6 +88,29 @@ TEST(PriorityOrder, PoliciesSortAsDocumented) {
             (std::vector<TaskId>{1, 0, 2}));
 }
 
+/// n tasks whose p and s are drawn from a pool of about n / 3 values in
+/// [0, top], each a multiple of `step`: ties at every width, and 0 and top
+/// both in the pool, so the keys' spread needs every byte of top (bar the
+/// low bytes a step of 256^k keeps at zero).
+Instance pooled_instance(Rng& rng, std::size_t n, std::int64_t top,
+                         std::int64_t step) {
+  std::vector<std::int64_t> pool = {0, top / step * step};
+  while (pool.size() < 2 + n / 3) {
+    pool.push_back(rng.uniform_int(0, top / step) * step);
+  }
+  const auto draw = [&] {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  std::vector<Time> p(n);
+  std::vector<Mem> s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = draw();
+    s[i] = draw();
+  }
+  return make_instance(std::move(p), std::move(s), 2);
+}
+
 TEST(PriorityOrder, MatchesAStableSortOnTiedKeys) {
   Rng rng(42);
   for (int trial = 0; trial < 300; ++trial) {
@@ -98,6 +123,40 @@ TEST(PriorityOrder, MatchesAStableSortOnTiedKeys) {
       ASSERT_EQ(priority_order(inst, policy),
                 stable_priority_order(inst, policy))
           << "trial " << trial << ", " << to_string(policy);
+    }
+  }
+  // Keys needing 1 to 8 bytes, on every n from 0 to 300, so the radix
+  // sort runs one pass and several; the instance's overflow guard (sums
+  // fit in 64 bits) caps the widest keys.
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const std::int64_t cap =
+        std::numeric_limits<std::int64_t>::max() /
+        static_cast<std::int64_t>(std::max<std::size_t>(n, 1));
+    for (int bytes = 1; bytes <= 8; ++bytes) {
+      const std::int64_t top =
+          bytes == 8 ? cap
+                     : std::min(cap, (std::int64_t{1} << (8 * bytes)) - 1);
+      if (bytes > 1 && top < (std::int64_t{1} << (8 * (bytes - 1)))) continue;
+      // Every third instance keeps its low bytes at zero: a byte no key
+      // sets costs no pass.
+      const std::int64_t step =
+          n % 3 == 0 && bytes > 2 ? std::int64_t{1} << 16 : 1;
+      const Instance inst = pooled_instance(rng, n, top, step);
+      for (const PriorityPolicy policy : kAllPolicies) {
+        ASSERT_EQ(priority_order(inst, policy),
+                  stable_priority_order(inst, policy))
+            << "n " << n << ", " << bytes << " key bytes, "
+            << to_string(policy);
+      }
+    }
+    // All keys equal: the identity order.
+    const Instance flat = make_instance(std::vector<Time>(n, 7),
+                                        std::vector<Mem>(n, 7), 2);
+    std::vector<TaskId> identity(n);
+    std::iota(identity.begin(), identity.end(), 0);
+    for (const PriorityPolicy policy : kAllPolicies) {
+      ASSERT_EQ(priority_order(flat, policy), identity)
+          << "n " << n << ", " << to_string(policy);
     }
   }
 }
@@ -146,6 +205,20 @@ TEST(GrahamList, DirectPlacementMatchesTheEventSimulation) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 23));
     const int m = static_cast<int>(rng.uniform_int(1, 9));
     corpus.push_back(random_independent(rng, n, m, trial % 2 == 0 ? 2 : 10,
+                                        /*s_max=*/3));
+  }
+  // Wide machines: two rounds of zero-length tasks on every processor,
+  // then work, then zeros again; then random m up to 40 with n to 3m + 8.
+  for (const int m : {16, 17, 40}) {
+    std::vector<Time> p(static_cast<std::size_t>(2 * m), 0);
+    p.insert(p.end(), {3, 1, 3, 0, 0, 0, 2});
+    corpus.push_back(make_instance(p, std::vector<Mem>(p.size(), 1), m));
+  }
+  Rng wide(44);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int m = static_cast<int>(wide.uniform_int(10, 40));
+    const auto n = static_cast<std::size_t>(wide.uniform_int(0, 3 * m + 8));
+    corpus.push_back(random_independent(wide, n, m, trial % 2 == 0 ? 2 : 10,
                                         /*s_max=*/3));
   }
   for (std::size_t k = 0; k < corpus.size(); ++k) {

@@ -5,6 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -76,6 +85,36 @@ TEST(PartitionValue, ComputesMaxLoad) {
   EXPECT_THROW(partition_value(w, bad, 2), std::invalid_argument);
 }
 
+/// The orders' documented contract, spelled as std::stable_sort.
+std::vector<std::size_t> stable_sorted(std::span<const std::int64_t> w,
+                                       bool descending) {
+  std::vector<std::size_t> order(w.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return descending ? w[a] > w[b] : w[a] < w[b];
+                   });
+  return order;
+}
+
+/// List scheduling's rule spelled as a min-heap of (load, id): each weight
+/// of `order` goes to the least loaded processor, the lowest id on ties.
+std::vector<ProcId> heap_list_oracle(std::span<const std::int64_t> w,
+                                     std::span<const std::size_t> order,
+                                     int m) {
+  using Entry = std::pair<std::int64_t, ProcId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (ProcId q = 0; q < m; ++q) heap.push({0, q});
+  std::vector<ProcId> assign(w.size(), kNoProc);
+  for (const std::size_t i : order) {
+    const auto [load, q] = heap.top();
+    heap.pop();
+    assign[i] = q;
+    heap.push({load + w[i], q});
+  }
+  return assign;
+}
+
 TEST(ListAssign, FollowsGreedyRule) {
   const std::vector<std::int64_t> w{3, 3, 2, 2};
   const auto assign = list_assign(w, 2);
@@ -91,6 +130,36 @@ TEST(ListAssign, OrderedVariantUsesGivenOrder) {
   EXPECT_EQ(assign[0], 1);
   EXPECT_THROW(list_assign_ordered(w, std::vector<std::size_t>{0}, 2),
                std::invalid_argument);
+  // An entry past the weights, or one repeated (which would leave a task
+  // unplaced), is not an order.
+  EXPECT_THROW(list_assign_ordered(w, std::vector<std::size_t>{1, 2}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(list_assign_ordered(w, std::vector<std::size_t>{0, 0}, 2),
+               std::invalid_argument);
+}
+
+TEST(ListAssign, MatchesAHeapOracle) {
+  // m from 1 to 40; small weight ranges give ties in load and runs of zero
+  // weights.
+  Rng rng(24);
+  for (int trial = 0; trial < 800; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 40));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 4 * m + 8));
+    std::vector<std::int64_t> w(n);
+    for (auto& v : w) v = rng.uniform_int(0, trial % 2 == 0 ? 3 : 100);
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<std::size_t> input(n);
+    std::iota(input.begin(), input.end(), std::size_t{0});
+
+    ASSERT_EQ(list_assign_ordered(w, order, m), heap_list_oracle(w, order, m))
+        << "trial " << trial << ", m " << m;
+    ASSERT_EQ(list_assign(w, m), heap_list_oracle(w, input, m))
+        << "trial " << trial << ", m " << m;
+    ASSERT_EQ(lpt_assign(w, m), heap_list_oracle(w, stable_sorted(w, true), m))
+        << "trial " << trial << ", m " << m;
+  }
 }
 
 TEST(LptAssign, ClassicWorstCaseStillWithinRatio) {
@@ -104,6 +173,42 @@ TEST(Orders, DecreasingAndIncreasingAreStable) {
   const std::vector<std::int64_t> w{4, 9, 4, 1};
   EXPECT_EQ(decreasing_order(w), (std::vector<std::size_t>{1, 0, 2, 3}));
   EXPECT_EQ(increasing_order(w), (std::vector<std::size_t>{3, 0, 2, 1}));
+
+  // Against std::stable_sort: every n to 300 with keys of 1 to 8 bytes
+  // drawn from a small pool (ties), the extremes of int64, and 5,000 keys
+  // of 8 bytes, where the radix sort runs all eight passes.
+  Rng rng(25);
+  const auto check = [](const std::vector<std::int64_t>& keys) {
+    ASSERT_EQ(decreasing_order(keys), stable_sorted(keys, true));
+    ASSERT_EQ(increasing_order(keys), stable_sorted(keys, false));
+  };
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (int bytes = 1; bytes <= 8; ++bytes) {
+      const std::int64_t top = bytes == 8
+                                   ? std::numeric_limits<std::int64_t>::max()
+                                   : (std::int64_t{1} << (8 * bytes)) - 1;
+      std::vector<std::int64_t> pool = {0, top};
+      while (pool.size() < 2 + n / 3) pool.push_back(rng.uniform_int(0, top));
+      std::vector<std::int64_t> keys(n);
+      for (auto& k : keys) {
+        k = pool[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+      }
+      check(keys);
+    }
+  }
+  check({std::numeric_limits<std::int64_t>::min(), 0,
+         std::numeric_limits<std::int64_t>::max(), -1, 1,
+         std::numeric_limits<std::int64_t>::min(), 0});
+  std::vector<std::int64_t> pool(1000);
+  for (auto& k : pool) {
+    k = rng.uniform_int(0, std::numeric_limits<std::int64_t>::max());
+  }
+  std::vector<std::int64_t> wide(5000);
+  for (auto& k : wide) {
+    k = pool[static_cast<std::size_t>(rng.uniform_int(0, 999))];
+  }
+  check(wide);
 }
 
 TEST(ExactDp, MatchesBruteForceSmall) {

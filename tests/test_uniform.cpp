@@ -32,6 +32,21 @@ TEST(UniformPartition, RejectsBadInput) {
   EXPECT_THROW(uniform_partition_value(w, bad, speeds), std::invalid_argument);
 }
 
+TEST(UniformList, RejectsOrdersThatAreNotPermutations) {
+  const std::vector<std::int64_t> w{3, 5};
+  const std::vector<std::int64_t> speeds{1, 2};
+  EXPECT_EQ(uniform_list_assign(w, std::vector<std::size_t>{1, 0}, speeds),
+            (std::vector<ProcId>{0, 1}));
+  // Too short, an entry past the weights, a repeated entry (which would
+  // leave a task unplaced).
+  EXPECT_THROW(uniform_list_assign(w, std::vector<std::size_t>{0}, speeds),
+               std::invalid_argument);
+  EXPECT_THROW(uniform_list_assign(w, std::vector<std::size_t>{0, 2}, speeds),
+               std::invalid_argument);
+  EXPECT_THROW(uniform_list_assign(w, std::vector<std::size_t>{1, 1}, speeds),
+               std::invalid_argument);
+}
+
 TEST(UniformList, PrefersFastMachines) {
   // One big weight: ECT places it on the fastest machine.
   const std::vector<std::int64_t> w{100};
