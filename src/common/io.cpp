@@ -1,5 +1,7 @@
 #include "common/io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <iomanip>
@@ -241,9 +243,20 @@ Instance instance_from_jsonl(std::string_view line,
 }
 
 std::string fmt(double v, int decimals) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(decimals) << v;
-  return os.str();
+  // std::to_chars with a precision prints what printf's "%.*f" prints.
+  const auto write = [&](char* first, char* last) {
+    return std::to_chars(first, last, v, std::chars_format::fixed, decimals);
+  };
+  char buf[64];
+  if (const auto r = write(buf, buf + sizeof buf); r.ec == std::errc{}) {
+    return std::string(buf, r.ptr);
+  }
+  // Wider than the buffer: -DBL_MAX has 309 integer digits, and a negative
+  // precision means 6 decimals, as in printf.
+  std::string out(312 + static_cast<std::size_t>(std::max(decimals, 6)), '\0');
+  const char* end = write(out.data(), out.data() + out.size()).ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  return out;
 }
 
 }  // namespace storesched

@@ -65,7 +65,8 @@ class JsonCursor;
 /// instance throws std::runtime_error("instance_from_jsonl: ...").
 Instance read_instance(JsonCursor& cur, std::size_t line_number = 0);
 
-/// Formats a double with the given number of decimals (fixed notation).
+/// Formats a double with the given number of decimals (fixed notation),
+/// exactly as printf("%.*f", decimals, v) does.
 std::string fmt(double v, int decimals = 3);
 
 }  // namespace storesched

@@ -12,28 +12,29 @@
 
 namespace storesched {
 
-bool FrontStaircase::dominated(Time c, Mem m) const {
-  // Among entries with cmax <= c the last has the smallest mmax, so it
-  // alone decides.
-  auto it = std::upper_bound(
+std::size_t FrontStaircase::floor_entry(Time c) const {
+  // First entry with cmax > c; its predecessor is the last with cmax <= c.
+  const auto it = std::upper_bound(
       entries_.begin(), entries_.end(), c,
       [](Time value, const Entry& e) { return value < e.cmax; });
-  if (it == entries_.begin()) return false;
-  return std::prev(it)->mmax <= m;
+  if (it == entries_.begin()) return entries_.size();
+  return static_cast<std::size_t>(it - entries_.begin()) - 1;
 }
 
-bool FrontStaircase::can_improve(Time lb_c, Mem lb_m,
+bool FrontStaircase::dominated(Time c, Mem m) const {
+  const std::size_t at = floor_entry(c);
+  return at < entries_.size() && entries_[at].mmax <= m;
+}
+
+bool FrontStaircase::can_improve(std::size_t at, Mem lb_m,
                                  std::int64_t lb_cm) const {
-  // First entry with cmax > lb_c; everything before it is summarized by
-  // its predecessor (smallest mmax among entries with cmax <= lb_c).
-  auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), lb_c,
-      [](Time value, const Entry& e) { return value < e.cmax; });
-  if (it == entries_.begin()) return true;  // nothing dominates c = lb_c yet
-  // Walk the staircase gaps: within [gap start, next entry's cmax) the
-  // dominance ceiling is prev->mmax, and the best c in the gap is the
-  // largest one (it minimizes the m forced by the combined bound).
-  for (auto prev = std::prev(it);; prev = it++) {
+  if (at == entries_.size()) return true;  // nothing dominates c = lb_c yet
+  // Walk the staircase gaps from entry `at`: within [gap start, next
+  // entry's cmax) the dominance ceiling is prev->mmax, and the best c in
+  // the gap is the largest one (it minimizes the m forced by the combined
+  // bound).
+  const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(at);
+  for (auto prev = first, it = std::next(first);; prev = it++) {
     if (it == entries_.end()) {
       // Unbounded gap: c free, so only the per-objective floor binds.
       return lb_m < prev->mmax;
@@ -183,8 +184,15 @@ struct BbState {
     // C*" in every subtree).
     const std::int64_t lb_c =
         std::max(load_floor(load, rest_p[idx], scratch), c_star);
+    // The entry whose mmax bounds every point at lb_c; without one nothing
+    // dominates c = lb_c yet, and the other floors cannot change that.
+    const std::size_t at = front.floor_entry(lb_c);
+    if (at == front.entries().size()) return true;
     const std::int64_t lb_m =
         std::max(load_floor(mem, rest_s[idx], scratch), m_star);
+    // mmax falls along the staircase, so a floor at or above this entry's
+    // mmax is dominated in every gap from here on.
+    if (lb_m >= front.entries()[at].mmax) return false;
     // Combined floor: cmax + mmax >= max_q(load_q + mem_q) for every
     // schedule, so the floor of the combined loads bounds the objective
     // sum. This is the bound with teeth on anti-correlated instances,
@@ -194,7 +202,7 @@ struct BbState {
           load[static_cast<std::size_t>(q)] + mem[static_cast<std::size_t>(q)];
     }
     const std::int64_t lb_cm = load_floor(combined, rest_ps[idx], scratch);
-    return front.can_improve(lb_c, lb_m, lb_cm);
+    return front.can_improve(at, lb_m, lb_cm);
   }
 
   void dfs(std::size_t idx, int used) {

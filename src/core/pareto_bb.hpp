@@ -62,13 +62,17 @@ class FrontStaircase {
   /// and entry.mmax <= m (an equal point counts). O(log k).
   bool dominated(Time c, Mem m) const;
 
+  /// Index of the last entry with cmax <= c, whose mmax is the least among
+  /// them; entries().size() when there is none. O(log k).
+  std::size_t floor_entry(Time c) const;
+
   /// The branch-and-bound prune: can any point with c >= lb_c, m >= lb_m
-  /// and c + m >= lb_cm still be non-dominated? The third constraint is
-  /// the combined-load bound (cmax + mmax >= max_q(load_q + mem_q) for
-  /// every schedule), which is what bites on anti-correlated instances
-  /// where neither per-objective bound is tight. Scans the staircase gaps
-  /// right of lb_c; O(log k + gaps visited).
-  bool can_improve(Time lb_c, Mem lb_m, std::int64_t lb_cm) const;
+  /// and c + m >= lb_cm still be non-dominated? `at` is floor_entry(lb_c).
+  /// The third constraint is the combined-load bound (cmax + mmax >=
+  /// max_q(load_q + mem_q) for every schedule), which is what bites on
+  /// anti-correlated instances where neither per-objective bound is
+  /// tight. Walks the staircase gaps from entry `at`; O(gaps visited).
+  bool can_improve(std::size_t at, Mem lb_m, std::int64_t lb_cm) const;
 
   /// Inserts (c, m, assign) unless dominated, erasing every entry the new
   /// point dominates. Returns true iff the point was inserted. Among

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -232,27 +234,33 @@ std::string serve_response_to_jsonl(const ServeResponse& response,
 }
 
 void LineFramer::feed(const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    const char c = data[i];
-    if (c == '\n') {
-      if (discarding_) {
-        ready_.push_back({std::string(), /*oversized=*/true});
-        discarding_ = false;
-      } else {
-        if (!buffer_.empty() && buffer_.back() == '\r') buffer_.pop_back();
-        ready_.push_back({std::move(buffer_), /*oversized=*/false});
+  while (size > 0) {
+    const auto* nl = static_cast<const char*>(std::memchr(data, '\n', size));
+    const std::size_t run =
+        nl != nullptr ? static_cast<std::size_t>(nl - data) : size;
+    if (!discarding_) {
+      // One byte past the cap is room for the '\r' a terminator strips; any
+      // other byte there (or anything after it) makes the line oversized.
+      const std::size_t room = max_line_ + 1 - buffer_.size();
+      buffer_.append(data, std::min(run, room));
+      if (run > room ||
+          (buffer_.size() > max_line_ && buffer_.back() != '\r')) {
+        // Cap exceeded: drop what we buffered and skip to the newline.
+        buffer_.clear();
+        discarding_ = true;
       }
-      buffer_.clear();
-      continue;
     }
-    if (discarding_) continue;
-    if (buffer_.size() >= max_line_) {
-      // Cap exceeded: drop what we buffered and skip to the newline.
-      buffer_.clear();
-      discarding_ = true;
-      continue;
+    if (nl == nullptr) return;
+    if (discarding_) {
+      ready_.push_back({std::string(), /*oversized=*/true});
+      discarding_ = false;
+    } else {
+      if (!buffer_.empty() && buffer_.back() == '\r') buffer_.pop_back();
+      ready_.push_back({std::move(buffer_), /*oversized=*/false});
     }
-    buffer_.push_back(c);
+    buffer_.clear();
+    data = nl + 1;
+    size -= run + 1;
   }
 }
 

@@ -128,18 +128,20 @@ std::string serve_response_to_jsonl(const ServeResponse& response,
 ///     else handle(line->text);
 ///   }
 ///
-/// A line longer than `max_line` bytes flips the framer into discard mode
-/// until the next newline, then yields one {oversized=true} marker for
-/// the whole offending line -- the connection stays framed and usable, it
-/// just cannot smuggle an unbounded allocation in. A trailing fragment
-/// with no newline (mid-line disconnect) stays buffered: partial() names
-/// its size so the server can account for it; it is never delivered.
+/// A line longer than `max_line` bytes, not counting the '\r' of a "\r\n"
+/// terminator, flips the framer into discard mode until the next newline,
+/// then yields one {oversized=true} marker for the whole offending line --
+/// the connection stays framed and usable, it just cannot smuggle an
+/// unbounded allocation in. A trailing fragment with no newline (mid-line
+/// disconnect) stays buffered: partial() names its size so the server can
+/// account for it; it is never delivered.
 class LineFramer {
  public:
   explicit LineFramer(std::size_t max_line) : max_line_(max_line) {}
 
-  /// Appends raw bytes. O(n) amortized; never throws past bad_alloc
-  /// (allocation is capped at max_line + one read's worth).
+  /// Appends raw bytes: memchr finds each newline and every byte of a line
+  /// is copied once. Never throws past bad_alloc (allocation is capped at
+  /// max_line + 1 for the tail plus one read's worth of complete lines).
   void feed(const char* data, std::size_t size);
 
   struct Line {

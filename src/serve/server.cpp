@@ -173,15 +173,26 @@ struct ServeServer::Impl {
     std::shared_ptr<CancelToken> cancel;
   };
 
+  /// One framed line, parsed outside mu_ and waiting for admission.
+  struct ParsedLine {
+    ServeRequest req;
+    /// Set when the line is no request (oversized, injected fault, parse
+    /// error): the counter it bumps and the error it answers.
+    std::uint64_t ServeCounters::*fault = nullptr;
+    std::string error;
+  };
+
   struct Connection {
     Connection(int fd_, std::uint64_t id_, std::size_t max_line)
         : fd(fd_), id(id_), framer(max_line) {}
     int fd;
     std::uint64_t id;
+    // Loop thread only, touched without mu_: the framer and the lines it
+    // yielded, parsed, in line order. A solve line waits at the front
+    // while the in-flight window is full.
     LineFramer framer;
-    /// Solve lines parsed while the in-flight window was full; replayed
-    /// (in order, before new framer lines) once a response frees a slot.
-    std::deque<std::string> deferred;
+    std::deque<ParsedLine> parsed;
+    // Guarded by mu_.
     std::string outbox;
     std::size_t out_off = 0;
     std::size_t in_flight = 0;
@@ -192,6 +203,8 @@ struct ServeServer::Impl {
   };
 
   // --- guarded by mu_ -------------------------------------------------
+  // Only the loop thread adds or erases connections, so it looks them up
+  // without mu_; every other thread holds mu_ to touch conns_.
   std::mutex mu_;
   std::unordered_map<int, Connection> conns_;            // fd -> connection
   std::unordered_map<std::uint64_t, int> conn_fd_;       // conn id -> fd
@@ -224,6 +237,7 @@ struct ServeServer::Impl {
   Poller poller_;
   std::vector<Poller::Event> events_;
   std::vector<int> accept_fds_;
+  std::vector<std::pair<int, bool>> ended_;  ///< fd, closed by a poll error
 
   // --- lifecycle ------------------------------------------------------
   int unix_listen_ = -1;
@@ -415,27 +429,33 @@ struct ServeServer::Impl {
     return out;
   }
 
-  /// Handles one framed request line. Returns false (and has no effect)
-  /// only when the line is a well-formed solve request that must wait for
-  /// the connection's in-flight window -- the caller re-plays it later.
-  bool try_handle_line(Connection& conn, const std::string& text) {
+  /// Parses one framed line, outside mu_. The serve.request failpoint
+  /// fires once per line, before the parse.
+  ParsedLine parse_line(const LineFramer::Line& line) {
+    ParsedLine out;
+    if (line.oversized) {
+      out.fault = &ServeCounters::oversized_lines;
+      out.error =
+          "request line exceeds " + std::to_string(opts().max_line) + " bytes";
+      return out;
+    }
     try {
       failpoint::hit("serve.request");
+      out.req = serve_request_from_jsonl(line.text);
     } catch (const InjectedFault& fault) {
-      ++counters_.injected_faults;
-      enqueue_error(conn, "", std::string("injected fault: ") + fault.what());
-      return true;
-    }
-
-    ServeRequest req;
-    try {
-      req = serve_request_from_jsonl(text);
+      out.fault = &ServeCounters::injected_faults;
+      out.error = std::string("injected fault: ") + fault.what();
     } catch (const std::exception& err) {
-      ++counters_.parse_errors;
-      enqueue_error(conn, "", err.what());
-      return true;
+      out.fault = &ServeCounters::parse_errors;
+      out.error = err.what();
     }
+    return out;
+  }
 
+  /// Answers or admits one parsed request. Returns false (and has no
+  /// effect) only when it is a solve request that must wait for the
+  /// connection's in-flight window.
+  bool handle_request(Connection& conn, ServeRequest& req) {
     if (req.statsz) {
       conn.outbox += statsz_line(req.id);
       conn.outbox += '\n';
@@ -529,23 +549,15 @@ struct ServeServer::Impl {
     return true;
   }
 
-  /// Replays deferred lines, then drains freshly framed ones, stopping at
-  /// the first solve line the window cannot admit yet.
-  void process_conn_lines(Connection& conn) {
-    while (!conn.deferred.empty()) {
-      if (!try_handle_line(conn, conn.deferred.front())) return;
-      conn.deferred.pop_front();
-    }
-    while (auto line = conn.framer.next()) {
-      if (line->oversized) {
-        ++counters_.oversized_lines;
-        enqueue_error(conn, "",
-                      "request line exceeds " +
-                          std::to_string(opts().max_line) + " bytes");
-        continue;
-      }
-      if (!try_handle_line(conn, line->text)) {
-        conn.deferred.push_back(std::move(line->text));
+  /// Answers or admits the parsed lines in order, stopping at the first
+  /// solve request the window cannot admit yet.
+  void admit_parsed(Connection& conn) {
+    for (; !conn.parsed.empty(); conn.parsed.pop_front()) {
+      ParsedLine& line = conn.parsed.front();
+      if (line.fault != nullptr) {
+        ++(counters_.*line.fault);
+        enqueue_error(conn, "", line.error);
+      } else if (!handle_request(conn, line.req)) {
         return;
       }
     }
@@ -700,10 +712,12 @@ struct ServeServer::Impl {
         // When the loop has nothing else to do for this connection, write
         // here and let it sleep; a partial send or a dead peer falls back
         // to waking it. With requests queued, workers go back to solving
-        // and leave the loop to batch the writes.
+        // and leave the loop to batch the writes. Lines waiting for the
+        // window need no check: the response that reopened it found the
+        // connection paused and woke the loop.
         const bool loop_idle_for_conn =
-            queue_depth_ == 0 && !was_paused && conn.deferred.empty() &&
-            !conn.reg_write && !conn.peer_eof && !draining_ && !flush_exit_;
+            queue_depth_ == 0 && !was_paused && !conn.reg_write &&
+            !conn.peer_eof && !draining_ && !flush_exit_;
         if (loop_idle_for_conn && flush_outbox(conn) && conn.outbox.empty()) {
           return;
         }
@@ -714,16 +728,21 @@ struct ServeServer::Impl {
   }
 
   // ------------------------------------------------------ loop plumbing
-  void do_read(Connection& conn) {
+  /// Reads what the socket holds, frames it and parses each complete line
+  /// onto conn.parsed, without mu_. Returns false when the peer ended the
+  /// stream (EOF, or a reset mid-read).
+  bool read_requests(Connection& conn) {
     char buf[1 << 16];
     const auto n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      conn.framer.feed(buf, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      conn.peer_eof = true;
-    } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      conn.peer_eof = true;  // reset mid-read: treat as disconnect
+    if (n <= 0) {
+      return n < 0 &&
+             (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
     }
+    conn.framer.feed(buf, static_cast<std::size_t>(n));
+    while (const auto line = conn.framer.next()) {
+      conn.parsed.push_back(parse_line(*line));
+    }
+    return true;
   }
 
   /// Flushes as much of the outbox as the socket accepts. Returns false
@@ -763,16 +782,16 @@ struct ServeServer::Impl {
     conns_.erase(it);
   }
 
-  /// Per-connection upkeep: replay/admit lines, flush, re-arm interest,
+  /// Per-connection upkeep: admit parsed lines, flush, re-arm interest,
   /// close when finished. Returns false when the connection was closed.
   bool update_conn_locked(Connection& conn) {
-    process_conn_lines(conn);
+    admit_parsed(conn);
     if (!conn.outbox.empty() && !flush_outbox(conn)) {
       close_conn_locked(conn.fd);
       return false;
     }
     const bool flushed = conn.outbox.empty();
-    const bool quiet = conn.in_flight == 0 && conn.deferred.empty();
+    const bool quiet = conn.in_flight == 0 && conn.parsed.empty();
     if (flushed && quiet && (conn.peer_eof || draining_ || flush_exit_)) {
       close_conn_locked(conn.fd);
       return false;
@@ -825,32 +844,37 @@ struct ServeServer::Impl {
       }
 
       poller_.wait(/*timeout_ms=*/200, events_);
+      // Read, frame and parse without mu_; the next upkeep pass admits.
       accept_fds_.clear();
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        counters_.connections_open = conns_.size();
-        counters_.queue_depth = queue_depth_;
-        counters_.draining = draining_;
-        for (const auto& event : events_) {
-          if (event.fd == wake_read_) {
-            drain_wake();
-            continue;
-          }
-          if (event.fd == unix_listen_ || event.fd == tcp_listen_) {
-            accept_fds_.push_back(event.fd);
-            continue;
-          }
-          const auto it = conns_.find(event.fd);
-          if (it == conns_.end()) continue;  // closed earlier this batch
-          if (event.error && !event.readable) {
-            close_conn_locked(event.fd);
-            continue;
-          }
-          if (event.readable) do_read(it->second);
-          // Writable readiness is consumed by the upkeep pass's flush.
+      for (const auto& event : events_) {
+        if (event.fd == wake_read_) {
+          drain_wake();
+          continue;
         }
+        if (event.fd == unix_listen_ || event.fd == tcp_listen_) {
+          accept_fds_.push_back(event.fd);
+          continue;
+        }
+        const auto it = conns_.find(event.fd);
+        if (it == conns_.end()) continue;
+        const bool hangup = event.error && !event.readable;
+        if (hangup || (event.readable && !read_requests(it->second))) {
+          ended_.emplace_back(event.fd, hangup);
+        }
+        // Writable readiness is consumed by the upkeep pass's flush.
       }
-      // Accept outside the lock: do_accept re-takes it per connection.
+      if (!ended_.empty()) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        for (const auto& [fd, hangup] : ended_) {
+          if (hangup) {
+            close_conn_locked(fd);
+          } else {
+            conns_.at(fd).peer_eof = true;
+          }
+        }
+        ended_.clear();
+      }
+      // do_accept takes mu_ per connection.
       for (const int fd : accept_fds_) do_accept(fd);
     }
   }

@@ -3,17 +3,18 @@
 //
 // One event-loop thread owns the poller: it accepts TCP / unix-domain
 // connections (epoll on Linux, poll(2) elsewhere -- see Poller in
-// server.cpp), frames JSONL request lines (serve/protocol.hpp), runs
-// admission, and queues admitted requests for a persistent WorkerCrew
-// (common/parallel.hpp) that solves them. A worker appends its response
-// line to the connection's outbox and writes the outbox itself when the
-// loop has nothing else to do for that connection (no queued request,
-// no paused window, deferred line, pending write or EOF, no drain); if
-// that write is partial, or in any other case, it wakes the loop, which
-// finishes the write. Sockets are non-blocking and only touched under
-// the server's lock. Connections are persistent and pipelined: responses
-// return on the request's connection, matched by the echoed "id" (they
-// may be reordered by solve completion).
+// server.cpp), reads, frames and parses JSONL request lines
+// (serve/protocol.hpp) without the server's lock, then under it runs
+// admission in line order and queues admitted requests for a persistent
+// WorkerCrew (common/parallel.hpp) that solves them. A worker appends its
+// response line to the connection's outbox and writes the outbox itself
+// when the loop has nothing else to do for that connection (no queued
+// request, no paused window, pending write or EOF, no drain); if that
+// write is partial, or in any other case, it wakes the loop, which
+// finishes the write. Sockets are non-blocking; every write and close
+// happens under the server's lock. Connections are persistent and
+// pipelined: responses return on the request's connection, matched by
+// the echoed "id" (they may be reordered by solve completion).
 //
 // Multi-tenant fairness is structural, not cooperative:
 //   * per-connection in-flight windows -- a connection with

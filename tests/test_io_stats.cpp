@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/gantt.hpp"
 #include "common/io.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "test_util.hpp"
 
@@ -64,6 +71,41 @@ TEST(TextFormat, MalformedInputThrows) {
 TEST(Fmt, FixedDecimals) {
   EXPECT_EQ(fmt(1.23456, 2), "1.23");
   EXPECT_EQ(fmt(2.0, 3), "2.000");
+}
+
+/// The oracle fmt() must match: the C library's fixed notation.
+std::string printf_fixed(double v, int decimals) {
+  std::vector<char> buf(512);
+  std::snprintf(buf.data(), buf.size(), "%.*f", decimals, v);
+  return buf.data();
+}
+
+TEST(Fmt, MatchesPrintfFixed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edges[] = {
+      0.0, -0.0, 0.0005, -0.0005, 2.675, 0.125, 1.5, 2.5, 1e15, -1e15,
+      123456.7895, 1e300, -1e300, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(), inf, -inf,
+      std::numeric_limits<double>::quiet_NaN()};
+  for (int d = 0; d <= 6; ++d) {
+    for (const double v : edges) {
+      EXPECT_EQ(fmt(v, d), printf_fixed(v, d)) << v << " at " << d;
+    }
+  }
+  // A seeded sweep over magnitudes a latency or ratio field takes, and
+  // over raw bit patterns (any double at all).
+  Rng rng(243);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int d = trial % 7;
+    const double scale = std::pow(10.0, rng.uniform_int(-4, 9));
+    const double scaled = (rng.uniform01() - 0.5) * scale;
+    const std::uint64_t bits = rng();
+    double raw = 0;
+    std::memcpy(&raw, &bits, sizeof raw);
+    ASSERT_EQ(fmt(scaled, d), printf_fixed(scaled, d))
+        << scaled << " at " << d;
+    ASSERT_EQ(fmt(raw, d), printf_fixed(raw, d)) << raw << " at " << d;
+  }
 }
 
 TEST(Gantt, RendersRowsAndSummary) {

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/generators.hpp"
 #include "common/paper_instances.hpp"
@@ -221,6 +223,34 @@ TEST(ParetoBb, EnginesCountTheirOwnWork) {
   EXPECT_EQ(ref.enumerated, 5u);
   EXPECT_EQ(bb.enumerated, 1u);
   EXPECT_EQ(bb.front, ref.front);
+}
+
+TEST(ParetoBb, NodeCountsOnASeededCorpusArePinned) {
+  // The search's node counts on every generator family at n = 12, m = 3
+  // and n = 10, m = 4. The prune may get cheaper (cut earlier, skip a
+  // bound it does not need), but it must answer the same boolean, so
+  // the search visits the same nodes and every count stays put.
+  const std::vector<std::uint64_t> pinned = {
+      924, 1463, 831, 218, 230, 198,   // uniform
+      1,   459,  486, 1,   35,  71,    // correlated
+      645, 904, 1749, 488, 1079, 582,  // anticorrelated
+      859, 271, 373, 1,   1,   1,      // bimodal
+  };
+  Rng rng(23);
+  GenParams gp;  // weights in [1, 100]
+  std::vector<std::uint64_t> nodes;
+  for (const char* family :
+       {"uniform", "correlated", "anticorrelated", "bimodal"}) {
+    for (const auto& [n, m] : {std::pair<std::size_t, int>{12, 3}, {10, 4}}) {
+      gp.n = n;
+      gp.m = m;
+      for (int k = 0; k < 3; ++k) {
+        nodes.push_back(
+            enumerate_pareto_bb(generate_by_name(family, gp, rng)).enumerated);
+      }
+    }
+  }
+  EXPECT_EQ(nodes, pinned);
 }
 
 // ---------------------------------------------------------------------------

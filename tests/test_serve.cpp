@@ -12,15 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/dag_generators.hpp"
 #include "common/failpoint.hpp"
 #include "common/generators.hpp"
 #include "common/io.hpp"
@@ -32,6 +37,7 @@
 #include "storage/result_cache.hpp"
 #include "storage/shm_store.hpp"
 #include "storage/wire_format.hpp"
+#include "test_util.hpp"
 
 namespace storesched {
 namespace {
@@ -191,6 +197,139 @@ TEST(ServeFramer, MarkersInterleaveInArrivalOrder) {
   EXPECT_EQ(framer.next()->text, "ab");
   EXPECT_TRUE(framer.next()->oversized);
   EXPECT_EQ(framer.next()->text, "cd");
+}
+
+TEST(ServeFramer, TheStrippedCarriageReturnDoesNotCountTowardTheCap) {
+  // A line of N bytes fits a cap of N whether it ends in "\n" or "\r\n".
+  constexpr std::size_t kCap = 5;
+  for (const std::string ending : {"\n", "\r\n"}) {
+    for (const std::size_t len : {kCap - 1, kCap, kCap + 1}) {
+      LineFramer framer(kCap);
+      const std::string text(len, 'a');
+      const std::string bytes = text + ending;
+      framer.feed(bytes.data(), bytes.size());
+      const auto line = framer.next();
+      ASSERT_TRUE(line);
+      EXPECT_EQ(line->oversized, len > kCap)
+          << len << " bytes, ending of " << ending.size();
+      EXPECT_EQ(line->text, len > kCap ? "" : text);
+      EXPECT_FALSE(framer.next());
+    }
+  }
+}
+
+/// The framer as a loop over single bytes, with the '\r' allowance of
+/// TheStrippedCarriageReturnDoesNotCountTowardTheCap: the oracle for
+/// LineFramer's memchr scan.
+class ByteLoopFramer {
+ public:
+  explicit ByteLoopFramer(std::size_t max_line) : max_line_(max_line) {}
+
+  void feed(const char* data, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      const char c = data[i];
+      if (c == '\n') {
+        if (discarding_) {
+          ready_.push_back({std::string(), /*oversized=*/true});
+          discarding_ = false;
+        } else {
+          if (!buffer_.empty() && buffer_.back() == '\r') buffer_.pop_back();
+          ready_.push_back({buffer_, /*oversized=*/false});
+        }
+        buffer_.clear();
+        continue;
+      }
+      if (discarding_) continue;
+      // Only a '\r' may sit one byte past the cap.
+      if (buffer_.size() > max_line_ ||
+          (buffer_.size() == max_line_ && c != '\r')) {
+        buffer_.clear();
+        discarding_ = true;
+        continue;
+      }
+      buffer_.push_back(c);
+    }
+  }
+
+  std::optional<LineFramer::Line> next() {
+    if (ready_.empty()) return std::nullopt;
+    LineFramer::Line line = ready_.front();
+    ready_.erase(ready_.begin());
+    return line;
+  }
+
+  std::size_t partial() const { return discarding_ ? 0 : buffer_.size(); }
+  bool discarding() const { return discarding_; }
+
+ private:
+  std::size_t max_line_;
+  std::string buffer_;
+  std::vector<LineFramer::Line> ready_;
+  bool discarding_ = false;
+};
+
+TEST(ServeFramer, AnyChunkingMatchesTheByteLoop) {
+  constexpr std::size_t kCap = 16;
+  const std::string at_cap(kCap, 'c');
+  std::string stream = "hello\n\n\r\nx\r\ny\r\r\na\rb\n";
+  for (const std::string& text :
+       {at_cap.substr(1), at_cap, at_cap + 'd', at_cap + '\r'}) {
+    stream += text + "\n" + text + "\r\n";
+  }
+  // An oversized line that spans many feeds, then normal lines.
+  stream += std::string(5000, 'z') + "\r\nok\nok\r\n";
+  Rng rng(7);
+  for (int k = 0; k < 300; ++k) {
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 20));
+    for (std::size_t i = 0; i < len; ++i) {
+      stream += "ab\r"[rng.uniform_int(0, 2)];
+    }
+    stream += rng.bernoulli(0.5) ? "\n" : "\r\n";
+  }
+  stream += "partial tail";
+
+  const auto check = [&](const std::vector<std::size_t>& cuts,
+                         const std::string& label) {
+    LineFramer framer(kCap);
+    ByteLoopFramer oracle(kCap);
+    std::size_t from = 0;
+    std::size_t lines = 0;
+    for (const std::size_t to : cuts) {
+      framer.feed(stream.data() + from, to - from);
+      oracle.feed(stream.data() + from, to - from);
+      from = to;
+      for (;;) {
+        const auto want = oracle.next();
+        const auto got = framer.next();
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << label << " line " << lines;
+        if (!want) break;
+        ASSERT_EQ(got->oversized, want->oversized)
+            << label << " line " << lines;
+        ASSERT_EQ(got->text, want->text) << label << " line " << lines;
+        ++lines;
+      }
+      ASSERT_EQ(framer.partial(), oracle.partial()) << label << " at " << to;
+      ASSERT_EQ(framer.discarding(), oracle.discarding())
+          << label << " at " << to;
+    }
+    EXPECT_EQ(framer.partial(), std::string("partial tail").size()) << label;
+    EXPECT_GT(lines, 300u) << label;
+  };
+
+  std::vector<std::size_t> bytes(stream.size());
+  std::iota(bytes.begin(), bytes.end(), std::size_t{1});
+  check(bytes, "byte at a time");
+  check({stream.size()}, "whole");
+  for (int split = 0; split < 20; ++split) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = 0; at < stream.size();) {
+      at = std::min(stream.size(),
+                    at + static_cast<std::size_t>(rng.uniform_int(1, 64)));
+      cuts.push_back(at);
+    }
+    check(cuts, "random split " + std::to_string(split));
+  }
 }
 
 // -------------------------------------------------------------- protocol
@@ -1113,15 +1252,32 @@ TEST_F(ServeServerTest, ResponsesLargerThanTheSocketBufferArriveWhole) {
   server.shutdown();
 }
 
+/// Sends `bytes` in chunks of 1 to `max_chunk` bytes drawn from `rng`.
+void send_in_chunks(TestClient& client, const std::string& bytes, Rng& rng,
+                    std::int64_t max_chunk) {
+  for (std::size_t at = 0; at < bytes.size();) {
+    const auto len = std::min(
+        bytes.size() - at,
+        static_cast<std::size_t>(rng.uniform_int(1, max_chunk)));
+    client.send_raw(bytes.substr(at, len));
+    at += len;
+  }
+}
+
 TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
   // The serve slice of the differential check: the same corpus answered
   // inline, by reference into the store, and again from the warm cache
-  // must give solve_batch's result line, byte for byte past the envelope.
+  // must give solve_batch's result line, schedule included, byte for byte
+  // past the envelope. The corpus holds the four families at n = 10, 20
+  // and 128 (m = 4), layered DAGs at n = 30 and the tied pair. Each pass
+  // spreads its requests over three connections and writes each stream in
+  // random chunks.
   std::vector<Instance> corpus;
   Rng rng(20);
   for (const char* family :
        {"uniform", "correlated", "anticorrelated", "bimodal"}) {
-    for (const std::size_t n : {std::size_t{20}, std::size_t{128}}) {
+    for (const std::size_t n :
+         {std::size_t{10}, std::size_t{20}, std::size_t{128}}) {
       GenParams params;
       params.n = n;
       params.m = 4;
@@ -1130,6 +1286,11 @@ TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
       }
     }
   }
+  for (int k = 0; k < 2; ++k) {
+    corpus.push_back(generate_dag_by_name("layered", 30, 4, {}, rng));
+  }
+  corpus.push_back(testing::kTiedFirst);
+  corpus.push_back(testing::kTiedSecond);
   const std::string store_name =
       "storesched-test-serve-same-" + std::to_string(::getpid());
   storage::ShmStore::unlink(store_name);
@@ -1139,52 +1300,160 @@ TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
   ServeOptions options = base_options("same");
   options.store = &store;
   options.cache = &store.cache();
+  options.result.include_schedule = true;
   // One worker: concurrent inserts may evict each other's fresh entries,
   // which would make the hit count below depend on the interleaving.
   options.threads = 1;
   ServeServer server(options);
   server.start();
-  TestClient client(options.unix_path);
+  constexpr std::size_t kConnections = 3;
+  std::deque<TestClient> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back(options.unix_path);
+  }
 
-  const char* const specs[] = {"sbo:lpt,delta=1", "graham:lpt"};
+  const char* const specs[] = {"sbo:lpt,delta=1", "graham:lpt",
+                               "pareto:exact"};
   const char* const passes[] = {"inline", "ref", "warm"};
+  std::size_t solves = 0;
+  std::size_t small = 0;  // independent, n <= 20: fits a cache slot
   for (const char* spec : specs) {
-    const std::vector<SolveResult> batch = solve_batch(spec, corpus);
+    // The entries the spec takes: DAGs where it supports precedence,
+    // pareto:exact at n <= 10 only.
+    const std::unique_ptr<Solver> solver = make_solver(spec);
+    std::vector<std::size_t> picked;
+    std::vector<Instance> accepted;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const Instance& inst = corpus[i];
+      if ((inst.has_precedence() &&
+           !solver->capabilities(inst.m()).supports_precedence) ||
+          (solver->name() == "pareto:exact" && inst.n() > 10)) {
+        continue;
+      }
+      picked.push_back(i);
+      accepted.push_back(inst);
+      if (!inst.has_precedence() && inst.n() <= 20 &&
+          solver->name() != "pareto:exact") {
+        ++small;
+      }
+    }
+    solves += std::size(passes) * picked.size();
+    const std::vector<SolveResult> batch = solve_batch(*solver, accepted);
     for (const char* pass : passes) {
       const bool by_ref = std::string(pass) == "ref";
-      std::string burst;
-      for (std::size_t i = 0; i < corpus.size(); ++i) {
+      std::vector<std::string> bursts(kConnections);
+      for (std::size_t k = 0; k < picked.size(); ++k) {
+        const std::size_t i = picked[k];
+        std::string& burst = bursts[k % kConnections];
         burst += R"({"id":")" + std::to_string(i) + R"(","spec":")" + spec +
                  "\",";
         burst += by_ref ? R"("ref":)" + std::to_string(i)
                         : R"("instance":)" + instance_to_jsonl(corpus[i]);
         burst += "}\n";
       }
-      client.send_raw(burst);
+      for (std::size_t c = 0; c < kConnections; ++c) {
+        send_in_chunks(clients[c], bursts[c], rng, 700);
+      }
       std::map<std::string, std::string> answers;
-      for (std::size_t i = 0; i < corpus.size(); ++i) {
-        const auto line = client.read_line();
+      for (std::size_t k = 0; k < picked.size(); ++k) {
+        const auto line = clients[k % kConnections].read_line();
         ASSERT_TRUE(line) << spec << " " << pass << ": response missing";
         answers[id_of(*line)] = *line;
       }
-      for (std::size_t i = 0; i < corpus.size(); ++i) {
+      for (std::size_t k = 0; k < picked.size(); ++k) {
+        const std::size_t i = picked[k];
         const std::string& line = answers[std::to_string(i)];
         EXPECT_EQ(fields_after(line),
-                  fields_after(result_to_jsonl(i, batch[i])))
+                  fields_after(result_to_jsonl(i, batch[k], options.result)))
             << spec << " " << pass << " #" << i << ": " << line;
       }
     }
   }
 
-  // Every instance of the corpus took the cache path three times per
-  // spec, and every n = 20 entry (small enough for a slot) was answered
-  // from the cache in the two later passes.
+  // Every request took the cache path, and every small independent entry
+  // of the list-scheduling specs was answered from the cache in the two
+  // later passes.
   const ServeCounters counters = server.counters();
-  EXPECT_EQ(counters.cache_hits + counters.cache_misses,
-            3 * std::size(specs) * corpus.size());
-  EXPECT_GE(counters.cache_hits, 2 * std::size(specs) * corpus.size() / 2);
+  EXPECT_EQ(counters.cache_hits + counters.cache_misses, solves);
+  EXPECT_GE(counters.cache_hits, 2 * small);
   server.shutdown();
   EXPECT_GT(storage::ShmStore::unlink(store_name), 0u);
+}
+
+TEST_F(ServeServerTest, ConcurrentChunkedClientsGetEveryAnswerOnce) {
+  // Clients pipeline solve lines (LF and CRLF, with a malformed line now
+  // and then) in random chunks through a small window. Meanwhile one
+  // client drops mid-line and a late one connects while the workers post
+  // answers. Each line of a client that stays gets exactly one response.
+  ServeOptions options = base_options("stress");
+  options.conn_window = 4;
+  ServeServer server(options);
+  server.start();
+
+  constexpr int kPerClient = 150;
+  constexpr int kMalformedEvery = 25;
+  const auto run_client = [&options](int c) {
+    Rng rng(static_cast<std::uint64_t>(100 + c));
+    std::string burst;
+    int malformed = 0;
+    for (int i = 0; i < kPerClient; ++i) {
+      if (i % kMalformedEvery == 3) {
+        burst += "{\"id\":\n";
+        ++malformed;
+      }
+      burst += R"({"id":")" + std::to_string(c) + "-" + std::to_string(i) +
+               R"(","instance":)" + kInstance + "}";
+      burst += i % 3 == 0 ? "\r\n" : "\n";
+    }
+    TestClient client(options.unix_path);
+    send_in_chunks(client, burst, rng, 300);
+    std::map<std::string, int> answered;
+    int errors = 0;
+    for (int k = 0; k < kPerClient + malformed; ++k) {
+      const auto line = client.read_line();
+      ASSERT_TRUE(line) << "client " << c << ": response " << k << " missing";
+      if (contains(*line, R"("ok":false)")) {
+        ++errors;
+      } else {
+        EXPECT_TRUE(contains(*line, R"("feasible":true)")) << *line;
+        ++answered[id_of(*line)];
+      }
+    }
+    EXPECT_EQ(errors, malformed) << "client " << c;
+    EXPECT_EQ(answered.size(), static_cast<std::size_t>(kPerClient))
+        << "client " << c;
+    for (const auto& [id, count] : answered) {
+      EXPECT_EQ(count, 1) << "id " << id;
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 3; ++c) threads.emplace_back(run_client, c);
+  threads.emplace_back([&options] {
+    TestClient rude(options.unix_path);
+    std::string burst;
+    for (int i = 0; i < 20; ++i) {
+      burst += std::string(R"({"id":"rude-)") + std::to_string(i) +
+               R"(","instance":)" + kInstance + "}\n";
+    }
+    rude.send_raw(burst + R"({"id":"rude-cut","instance":{"m":2,"ta)");
+    rude.close();  // mid-line, with answers still on the way
+  });
+  // The late client connects once the workers are posting answers.
+  for (int waited_ms = 0; server.counters().responses < 50; ++waited_ms) {
+    ASSERT_LT(waited_ms, 10000) << "no responses posted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  threads.emplace_back(run_client, 3);
+  for (auto& t : threads) t.join();
+
+  // Drained, every admitted request and every malformed line was answered
+  // once, including the dropped client's (its answers went nowhere).
+  server.shutdown();
+  const ServeCounters counters = server.counters();
+  EXPECT_EQ(counters.responses, counters.requests + counters.parse_errors);
+  EXPECT_EQ(counters.parse_errors, 4u * kPerClient / kMalformedEvery);
+  EXPECT_EQ(counters.oversized_lines, 0u);
 }
 
 TEST_F(ServeServerTest, TcpListenerRoundTripsOnAnEphemeralPort) {
