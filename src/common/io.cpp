@@ -97,21 +97,46 @@ Instance from_text(const std::string& text) {
   int m = 0;
   std::string prec_flag;
   if (!(head >> n >> m)) throw std::runtime_error("from_text: bad header");
-  const bool has_prec = static_cast<bool>(head >> prec_flag) && prec_flag == "prec";
-
-  std::vector<Task> tasks(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> tasks[i].p >> tasks[i].s)) {
-      throw std::runtime_error("from_text: bad task line");
-    }
+  const bool has_prec = static_cast<bool>(head >> prec_flag);
+  if ((has_prec && prec_flag != "prec") || head >> prec_flag) {
+    throw std::runtime_error("from_text: bad header");
   }
-  if (!has_prec) return Instance(std::move(tasks), m);
+  // A task line takes at least four bytes ("0 0\n", the last one three),
+  // so an n the rest of the text cannot hold fails before it sizes
+  // anything.
+  const std::size_t rest =
+      text.size() - std::min(text.size(), first_line.size() + 1);
+  if (n > (rest + 1) / 4) {
+    throw std::runtime_error("from_text: header n exceeds the task lines");
+  }
 
-  Dag dag(n);
-  TaskId u = 0;
-  TaskId v = 0;
-  while (is >> u >> v) dag.add_edge(u, v);
-  return Instance(std::move(tasks), m, std::move(dag));
+  try {
+    std::vector<Task> tasks(n);
+    for (Task& task : tasks) {
+      if (!(is >> task.p >> task.s)) {
+        throw std::runtime_error("from_text: bad task line");
+      }
+    }
+    if (!has_prec) {
+      if (!(is >> std::ws).eof()) {
+        throw std::runtime_error("from_text: trailing bytes after the tasks");
+      }
+      return Instance(std::move(tasks), m);
+    }
+    Dag dag(n);
+    TaskId u = 0;
+    TaskId v = 0;
+    while (is >> u) {
+      if (!(is >> v)) throw std::runtime_error("from_text: bad edge line");
+      dag.add_edge(u, v);
+    }
+    if (!is.eof()) throw std::runtime_error("from_text: bad edge line");
+    return Instance(std::move(tasks), m, std::move(dag));
+  } catch (const std::invalid_argument& e) {
+    // Instance/Dag validation reports as std::invalid_argument; malformed
+    // text is one exception type, as on the JSONL wire.
+    throw std::runtime_error(std::string("from_text: ") + e.what());
+  }
 }
 
 std::string json_escape(const std::string& text) {
@@ -179,7 +204,12 @@ Instance read_instance(JsonCursor& cur, std::size_t line_number) {
   enum : std::size_t { kM, kTasks, kEdges };
   static constexpr std::string_view kKeys[] = {"m", "tasks", "edges"};
   int m = 0;
-  std::vector<Task> tasks;
+  // The weights gather on the stack (4 KiB), so an instance of up to
+  // kStacked tasks allocates its task vector once, at its final size.
+  constexpr std::size_t kStacked = 256;
+  std::int64_t stacked[2 * kStacked];
+  std::size_t count = 0;
+  std::vector<Task> tasks;  // the tasks past the stack's room, then all
   std::vector<std::pair<std::int64_t, std::int64_t>> edges;
   const auto pairs = [&](auto&& emit) {
     cur.array([&] {
@@ -199,12 +229,25 @@ Instance read_instance(JsonCursor& cur, std::size_t line_number) {
       }
       m = static_cast<int>(v);
     } else if (key == kTasks) {
-      pairs([&](std::int64_t p, std::int64_t s) { tasks.push_back({p, s}); });
+      pairs([&](std::int64_t p, std::int64_t s) {
+        if (count < kStacked) {
+          stacked[2 * count] = p;
+          stacked[2 * count + 1] = s;
+        } else {
+          tasks.push_back({p, s});
+        }
+        ++count;
+      });
     } else {
       pairs([&](std::int64_t u, std::int64_t v) { edges.emplace_back(u, v); });
     }
   });
   cur.require(seen, JsonCursor::bit(kM) | JsonCursor::bit(kTasks), kKeys);
+  const std::size_t on_stack = std::min(count, kStacked);
+  tasks.insert(tasks.begin(), on_stack, Task{});
+  for (std::size_t i = 0; i < on_stack; ++i) {
+    tasks[i] = {stacked[2 * i], stacked[2 * i + 1]};
+  }
 
   const auto n = static_cast<std::int64_t>(tasks.size());
   try {

@@ -29,7 +29,9 @@ std::string to_dot(const Instance& inst, const std::string& graph_name = "dag");
 std::string to_text(const Instance& inst);
 
 /// Parses the to_text format back. Throws std::runtime_error on malformed
-/// input. Round-trips exactly with to_text.
+/// input: bad tokens, an n the text cannot hold, anything left over, and
+/// an invalid instance (bad m, negative weights, out-of-range, self-loop
+/// or cyclic edges). Round-trips exactly with to_text.
 Instance from_text(const std::string& text);
 
 /// Escapes `text` for embedding inside a JSON string literal (the

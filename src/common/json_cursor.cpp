@@ -93,6 +93,14 @@ void JsonCursor::skip_value() {
   --depth_;
 }
 
+void JsonCursor::fail_expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
+
+void JsonCursor::fail_number(bool none) const {
+  fail(none ? "expected a number" : "leading zero in number");
+}
+
 void JsonCursor::require(std::uint64_t seen, std::uint64_t required,
                          std::span<const std::string_view> keys) const {
   for (std::size_t i = 0; i < keys.size(); ++i) {

@@ -77,7 +77,7 @@ class JsonCursor {
   }
 
   void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
+    if (!consume(c)) fail_expected(c);
   }
 
   /// Consumes `word` (true, false, null) if it comes next.
@@ -159,11 +159,20 @@ class JsonCursor {
   }
 
  private:
+  /// Up to 18 digits cannot overflow either integer type, so they are
+  /// summed as they are scanned; longer runs go through std::from_chars.
+  static constexpr std::size_t kSafeDigits = 18;
+
   template <typename Int>
   Int read_integer(bool sign) {
     skip_ws();
     const std::size_t begin = pos_;
-    scan_digits(sign);
+    const std::uint64_t magnitude = scan_digits(sign);
+    const bool negative = text_[begin] == '-';
+    if (pos_ - begin - negative <= kSafeDigits) {
+      const auto value = static_cast<Int>(magnitude);
+      return negative ? -value : value;
+    }
     Int value = 0;
     if (std::from_chars(text_.data() + begin, text_.data() + pos_, value).ec !=
         std::errc{}) {
@@ -173,21 +182,30 @@ class JsonCursor {
     return value;
   }
 
-  /// Moves past [-]digits with no leading zero; fails with the cursor
-  /// unmoved when there are none.
-  void scan_digits(bool sign) {
-    const std::size_t begin = pos_;
-    if (sign && pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const std::size_t digits = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
+  /// Moves past [-]digits with no leading zero and returns their value,
+  /// exact up to kSafeDigits digits; fails with the cursor unmoved when
+  /// there are none.
+  std::uint64_t scan_digits(bool sign) {
+    std::size_t pos = pos_;
+    if (sign && pos < text_.size() && text_[pos] == '-') ++pos;
+    const std::size_t digits = pos;
+    std::uint64_t value = 0;
+    for (; pos < text_.size(); ++pos) {
+      const auto digit = static_cast<unsigned char>(text_[pos] - '0');
+      if (digit > 9) break;
+      value = value * 10 + digit;
     }
-    if (pos_ == digits || (pos_ - digits > 1 && text_[digits] == '0')) {
-      const bool none = pos_ == digits;
-      pos_ = begin;
-      fail(none ? "expected a number" : "leading zero in number");
+    if (pos == digits || (pos - digits > 1 && text_[digits] == '0')) {
+      fail_number(pos == digits);
     }
+    pos_ = pos;
+    return value;
   }
+
+  // The failure paths build their messages out of line, off the token
+  // readers' fast paths.
+  [[noreturn]] void fail_expected(char c) const;
+  [[noreturn]] void fail_number(bool none) const;
 
   std::string_view text_;
   std::size_t pos_ = 0;

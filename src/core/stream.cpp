@@ -506,6 +506,9 @@ struct Slot {
 constexpr double kClaimBudgetNs = 50e3;
 constexpr std::size_t kMaxClaim = 64;
 
+/// The most room a worker's encode buffer keeps between records.
+constexpr std::size_t kKeptLineBytes = std::size_t{64} << 10;
+
 /// Shared pipeline state. `pull_mu` serializes claims (the source and
 /// `next_index`); `mu` guards everything else except the writer-owned
 /// block, which only the worker holding the writer role touches. Lock
@@ -1009,9 +1012,10 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
 
   // Parses (record sources), solves -- re-attempting per policy, backoff
   // sleeps included, while other workers keep streaming -- and encodes
-  // (encoding sinks) one claimed record, outside the locks.
+  // (encoding sinks) one claimed record, outside the locks. `line` is the
+  // worker's encode buffer: the record keeps a copy sized to its bytes.
   const auto process = [&](const Claim& claim, const RecordBatch& batch,
-                           std::size_t r, Tally& tally) {
+                           std::size_t r, Tally& tally, std::string& line) {
     Outcome out;
     out.index = claim.first_index + r;
     out.source_pos = claim.source_pos;
@@ -1034,7 +1038,7 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
       }
     }
 
-    auto result = std::make_unique<SolveResult>();
+    SolveResult result;
     bool solved = false;
     bool cache_hit = false;
     int attempt = 0;
@@ -1049,7 +1053,7 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
         failpoint::hit("stream.solve");
         storage::CachedSolve solve =
             storage::solve_cached(solver, *inst, options, stream.cache);
-        *result = std::move(solve.result);
+        result = std::move(solve.result);
         cache_hit = solve.cache == storage::CacheOutcome::kHit;
         solved = true;
         break;
@@ -1081,17 +1085,17 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
       }
       return out;
     }
-    out.footprint = estimate_footprint(*inst, *result);
-    out.feasible = result->feasible;
+    out.footprint = estimate_footprint(*inst, result);
+    out.feasible = result.feasible;
     out.retried = attempt > 1;
     if (!state.encoder) {
-      out.payload = std::move(result);
+      out.payload = std::make_unique<SolveResult>(std::move(result));
       return out;
     }
-    std::string bytes;
+    line.clear();
     try {
-      state.encoder->encode(out.index, *result, bytes);
-      out.payload = std::move(bytes);
+      state.encoder->encode(out.index, result, line);
+      out.payload = std::string(line);
     } catch (...) {
       if (state.action == FailureAction::kAbort) {
         tally.abort = std::current_exception();
@@ -1102,6 +1106,8 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
                         1, describe_error(std::current_exception())};
       }
     }
+    // A huge line's room is not kept for the rest of the run.
+    if (line.capacity() > kKeptLineBytes) std::string().swap(line);
     return out;
   };
 
@@ -1109,6 +1115,7 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
     RecordBatch batch;
     Claim claim;
     std::vector<Outcome> done;
+    std::string line;
     double record_ns = 0.0;
     while (take_claim(state, source, cancel, record_ns, batch, claim)) {
       // Only claims from record sources take several records, so only
@@ -1118,7 +1125,7 @@ StreamStats solve_stream(const Solver& solver, InstanceSource& source,
           state.records ? Clock::now() : Clock::time_point{};
       Tally tally;
       for (std::size_t r = 0; r < claim.count && !tally.abort; ++r) {
-        done.push_back(process(claim, batch, r, tally));
+        done.push_back(process(claim, batch, r, tally, line));
       }
       if (claim.error) {
         done.push_back(source_fault(claim.first_index + claim.count,

@@ -64,8 +64,29 @@ TEST(TextFormat, RoundTripsDag) {
 }
 
 TEST(TextFormat, MalformedInputThrows) {
-  EXPECT_THROW(from_text(""), std::runtime_error);
-  EXPECT_THROW(from_text("2 2\n1 1\n"), std::runtime_error);  // missing task
+  // Every fault is a std::runtime_error, the invalid instances included.
+  for (const char* text : {
+           "",
+           "2 2\n1 1\n",                      // missing task
+           "2 2 prec\n1 1\n1 1\n0 5\n",       // edge out of range
+           "2 2 prec\n1 1\n1 1\n0 0\n",       // self-loop
+           "2 2 prec\n1 1\n1 1\n0 1\n1 0\n",  // cycle
+           "2 2\n-1 1\n1 1\n",                // negative weight
+           "2 0\n1 1\n1 1\n",                 // m <= 0
+           "3000000000000000000 2\n1 1\n",    // n the text cannot hold
+           "2 2 prec\n1 1\n1 1\n0 1\nxyz\n",  // trailing tokens
+           "2 2 prec\n1 1\n1 1\n0\n",         // half an edge
+           "2 2\n1 1\n1 1\n0 1\n",            // edges without prec
+           "2 2 prec extra\n1 1\n1 1\n",      // trailing header token
+           "2 2 dag\n1 1\n1 1\n",             // unknown header token
+       }) {
+    EXPECT_THROW(from_text(text), std::runtime_error) << '"' << text << '"';
+  }
+  // The valid neighbours of those still parse.
+  EXPECT_EQ(from_text("2 2 prec\n1 1\n1 1\n").dag().edge_count(), 0u);
+  EXPECT_EQ(from_text("2 2 prec\n1 1\n1 1\n0 1").dag().edge_count(), 1u);
+  EXPECT_EQ(from_text("1 1\n0 0").n(), 1u);
+  EXPECT_EQ(from_text("0 3\n").n(), 0u);
 }
 
 TEST(Fmt, FixedDecimals) {

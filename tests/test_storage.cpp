@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -28,40 +27,8 @@
 #include "storage/result_cache.hpp"
 #include "storage/shm_store.hpp"
 #include "storage/wire_format.hpp"
+#include "allocation_counter.hpp"
 #include "test_util.hpp"
-
-// Sanitizer builds keep their runtime's own operator new, so only plain
-// builds count allocations (CacheTable.LookupAllocatesOnlyForAHit).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define STORESCHED_TEST_COUNTS_ALLOCATIONS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define STORESCHED_TEST_COUNTS_ALLOCATIONS 0
-#endif
-#endif
-#ifndef STORESCHED_TEST_COUNTS_ALLOCATIONS
-#define STORESCHED_TEST_COUNTS_ALLOCATIONS 1
-#endif
-
-namespace {
-/// Heap allocations this thread made while counting is on.
-thread_local bool t_count_allocations = false;
-thread_local std::size_t t_allocations = 0;
-}  // namespace
-
-#if STORESCHED_TEST_COUNTS_ALLOCATIONS
-// Out of line, so the compiler does not pair an inlined free() with a
-// new-expression and warn of a mismatch.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  if (t_count_allocations) ++t_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-#endif
 
 namespace storesched {
 namespace {
@@ -530,17 +497,17 @@ TEST(CacheTable, LookupAllocatesOnlyForAHit) {
   const std::string payload(300, 'p');
   ASSERT_TRUE(table.insert(CacheKey{7, 7}, payload));
   std::size_t hits = 0;
-  t_allocations = 0;
-  t_count_allocations = true;
-  for (std::uint64_t k = 0; k < 1000; ++k) {
-    hits += table.lookup(CacheKey{100 + k, 100 + k}).has_value() ? 1 : 0;
-  }
-  const std::size_t miss_allocations = t_allocations;
-  t_allocations = 0;
+  const std::size_t miss_allocations = testing::count_allocations([&] {
+    for (std::uint64_t k = 0; k < 1000; ++k) {
+      hits += table.lookup(CacheKey{100 + k, 100 + k}).has_value() ? 1 : 0;
+    }
+  });
   std::size_t bytes = 0;
-  for (int k = 0; k < 1000; ++k) bytes += table.lookup(CacheKey{7, 7})->size();
-  const std::size_t hit_allocations = t_allocations;
-  t_count_allocations = false;
+  const std::size_t hit_allocations = testing::count_allocations([&] {
+    for (int k = 0; k < 1000; ++k) {
+      bytes += table.lookup(CacheKey{7, 7})->size();
+    }
+  });
   EXPECT_EQ(hits, 0u);
   EXPECT_EQ(bytes, 1000 * payload.size());
   EXPECT_EQ(miss_allocations, 0u);

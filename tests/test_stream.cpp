@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <set>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <streambuf>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <filesystem>
@@ -29,8 +31,10 @@
 #include "common/io.hpp"
 #include "common/json_cursor.hpp"
 #include "common/rng.hpp"
+#include "core/audit.hpp"
 #include "core/journal.hpp"
 #include "core/solver.hpp"
+#include "allocation_counter.hpp"
 #include "test_util.hpp"
 
 namespace storesched {
@@ -555,6 +559,218 @@ TEST(JsonCursor, SkipsUnknownValuesOfAnyKindAndBoundsTheirNesting) {
     EXPECT_THROW(bad.object(kKeys, [](std::size_t) {}, true), JsonError)
         << line.substr(0, 20);
   }
+}
+
+/// What the cursor must answer for an integer at the start of `text`: the
+/// value and the offset just past it, or a JsonError's text and offset.
+/// Derived from the token rules with std::from_chars, apart from the
+/// cursor's code.
+template <typename Int>
+struct IntegerAnswer {
+  std::optional<Int> value;
+  std::size_t offset = 0;  ///< past the token, or where the error points
+  std::string what;
+};
+
+template <typename Int>
+IntegerAnswer<Int> reference_integer(std::string_view text, bool whitespace) {
+  std::size_t pos = 0;
+  while (whitespace && pos < text.size() &&
+         std::string_view(" \t\n\r").find(text[pos]) != std::string_view::npos) {
+    ++pos;
+  }
+  const std::size_t begin = pos;
+  if (std::is_signed_v<Int> && pos < text.size() && text[pos] == '-') ++pos;
+  const std::size_t digits = pos;
+  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+  if (pos == digits) return {std::nullopt, begin, "expected a number"};
+  if (pos - digits > 1 && text[digits] == '0') {
+    return {std::nullopt, begin, "leading zero in number"};
+  }
+  Int value = 0;
+  if (std::from_chars(text.data() + begin, text.data() + pos, value).ec !=
+      std::errc{}) {
+    return {std::nullopt, begin, "integer out of range"};
+  }
+  return {value, pos, ""};
+}
+
+/// Reads one integer of type Int from `text` and checks it against the
+/// reference: the same value and end offset, or the same error.
+template <typename Int>
+void expect_integer_matches(std::string_view text, bool whitespace) {
+  const IntegerAnswer<Int> want = reference_integer<Int>(text, whitespace);
+  JsonCursor cur(text, whitespace);
+  std::optional<Int> got;
+  try {
+    if constexpr (std::is_signed_v<Int>) {
+      got = cur.integer();
+    } else {
+      got = cur.unsigned_integer();
+    }
+  } catch (const JsonError& e) {
+    ASSERT_FALSE(want.value) << "'" << text << "' threw " << e.what();
+    EXPECT_EQ(e.what(), want.what) << "'" << text << "'";
+    EXPECT_EQ(e.offset(), want.offset) << "'" << text << "'";
+    return;
+  }
+  ASSERT_TRUE(want.value) << "'" << text << "' read " << *got
+                          << ", want error " << want.what;
+  EXPECT_EQ(*got, *want.value) << "'" << text << "'";
+  try {
+    cur.fail("probe");  // reports where the cursor stopped
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.offset(), want.offset) << "'" << text << "'";
+  }
+}
+
+void expect_both_integers_match(std::string_view text) {
+  for (const bool whitespace : {true, false}) {
+    expect_integer_matches<std::int64_t>(text, whitespace);
+    expect_integer_matches<std::uint64_t>(text, whitespace);
+  }
+}
+
+TEST(JsonCursor, IntegersMatchTheFromCharsReference) {
+  Rng rng(2508);
+  const auto digits = [&](std::size_t count) {
+    std::string out(1, static_cast<char>('1' + rng.uniform_int(0, 8)));
+    while (out.size() < count) {
+      out += static_cast<char>('0' + rng.uniform_int(0, 9));
+    }
+    return out;
+  };
+  // Every digit count from 1 to 21, signed and not: random digits, the
+  // largest and the smallest run of each length.
+  for (std::size_t count = 1; count <= 21; ++count) {
+    std::string power(count, '0');
+    power.front() = '1';
+    for (const std::string& run :
+         {digits(count), std::string(count, '9'), power}) {
+      for (const std::string& token : {run, "-" + run}) {
+        for (const char* after : {"", ",", "]", " 7", "x"}) {
+          expect_both_integers_match(token + after);
+          expect_both_integers_match(" \t\r\n" + token + after);
+        }
+      }
+    }
+  }
+  // The int64 and uint64 bounds and their neighbours, and the tokens the
+  // rules single out.
+  for (const char* token :
+       {"9223372036854775806", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775807", "-9223372036854775808",
+        "-9223372036854775809", "18446744073709551614",
+        "18446744073709551615", "18446744073709551616", "0", "1", "-1",
+        "-0", "00", "-01", "01", "-", "--1", "", " ", "+1", "1.5", "1e3",
+        "999999999999999999", "1000000000000000000", "-999999999999999999",
+        "-1000000000000000000", "0000000000000000000000"}) {
+    expect_both_integers_match(token);
+    expect_both_integers_match(std::string(" ") + token + " ");
+  }
+  // Seeded random tokens over the bytes that matter.
+  static constexpr std::string_view kBytes = "0123456789-- \t,x";
+  for (int trial = 0; trial < 100000; ++trial) {
+    std::string token;
+    if (trial % 2 == 0) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(0, 24));
+      for (std::size_t i = 0; i < size; ++i) {
+        token += kBytes[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kBytes.size()) - 1))];
+      }
+    } else {
+      if (rng.uniform_int(0, 1) == 1) token += '-';
+      token += digits(static_cast<std::size_t>(rng.uniform_int(1, 22)));
+    }
+    expect_both_integers_match(token);
+    if (::testing::Test::HasFailure()) FAIL() << "trial " << trial;
+  }
+}
+
+TEST(Jsonl, TaskListsAroundTheParsersStackBufferRoundTrip) {
+  Rng rng(77);
+  for (const std::size_t n : {1u, 255u, 256u, 257u, 1000u}) {
+    GenParams gp;
+    gp.n = n;
+    gp.m = 3;
+    gp.p_max = 1000000;
+    const Instance inst = generate_uniform(gp, rng);
+    const std::string line = instance_to_jsonl(inst);
+    const Instance back = instance_from_jsonl(line);
+    ASSERT_EQ(back.n(), n);
+    EXPECT_EQ(back.m(), 3);
+    for (TaskId i = 0; i < static_cast<TaskId>(n); ++i) {
+      ASSERT_EQ(back.task(i), inst.task(i)) << "n=" << n << " task " << i;
+    }
+    EXPECT_EQ(instance_to_jsonl(back), line);
+  }
+}
+
+/// A stream buffer that takes every byte and keeps none, so a sink
+/// writing to it allocates nothing.
+class DiscardBuffer : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+TEST(JsonlAllocations, AnInstanceLineAllocatesOnlyItsTaskVector) {
+  if (!STORESCHED_TEST_COUNTS_ALLOCATIONS) {
+    GTEST_SKIP() << "sanitizer build: operator new is the runtime's";
+  }
+  Rng rng(20);
+  for (const std::size_t n : {20u, 128u}) {
+    GenParams gp;
+    gp.n = n;
+    const std::string line = instance_to_jsonl(generate_uniform(gp, rng));
+    std::optional<Instance> inst;
+    const std::size_t allocations = testing::count_allocations(
+        [&] { inst.emplace(instance_from_jsonl(line, /*line_number=*/7)); });
+    EXPECT_EQ(allocations, 1u) << "n=" << n;
+    EXPECT_EQ(inst->n(), n);
+  }
+}
+
+TEST(JsonlAllocations, AStreamedRecordAllocatesAtMostEightTimes) {
+  if (!STORESCHED_TEST_COUNTS_ALLOCATIONS) {
+    GTEST_SKIP() << "sanitizer build: operator new is the runtime's";
+  }
+  if (audit_enabled()) {
+    GTEST_SKIP() << "STORESCHED_AUDIT=1: the audit allocates in every solve";
+  }
+  // cli-tiny's shape: graham:lpt over n = 20, m = 4, JSONL in and out, on
+  // one thread so every allocation is this one's. Two run lengths cancel
+  // the per-run setup: what is left is the per-record cost (parse 1,
+  // solve 6, encode 1).
+  const auto solver = make_solver("graham:lpt");
+  const auto allocations = [&](std::size_t records) {
+    Rng rng(4);
+    std::string input;
+    for (std::size_t i = 0; i < records; ++i) {
+      GenParams gp;
+      gp.n = 20;
+      gp.m = 4;
+      input += instance_to_jsonl(generate_uniform(gp, rng)) + '\n';
+    }
+    std::istringstream in(input);
+    DiscardBuffer discard;
+    std::ostream out(&discard);
+    JsonlInstanceSource source(in);
+    JsonlResultSink sink(out);
+    StreamOptions stream;
+    stream.threads = 1;
+    StreamStats stats;
+    const std::size_t count = testing::count_allocations(
+        [&] { stats = solve_stream(*solver, source, sink, {}, stream); });
+    EXPECT_EQ(stats.delivered, records);
+    return count;
+  };
+  constexpr std::size_t kRecords = 500;
+  const std::size_t once = allocations(kRecords);
+  const std::size_t twice = allocations(2 * kRecords);
+  // Rounded down per record: a buffer of the driver's that grows now and
+  // then does not count, one more allocation in every record does.
+  EXPECT_LE((twice - once) / kRecords, 8u) << once << " then " << twice;
 }
 
 TEST(Jsonl, ResultLinesCarryTheCoreFields) {
