@@ -48,8 +48,9 @@
 //                  is retried, serve/server.cpp)
 //   serve.request  the serving tier's request handler, before a framed
 //                  line is parsed (a fault answers ok:false on that line)
-//   serve.solve    the serving tier's worker, before the deadline check
-//                  and solve (a fault answers ok:false for that request)
+//   serve.solve    the serving tier's solve, on a worker or the event
+//                  loop, before the deadline check and solve (a fault
+//                  answers ok:false for that request)
 //
 // Cost when unset: hit() is a single relaxed atomic load of a global flag
 // and a predictable not-taken branch -- safe to leave compiled into hot

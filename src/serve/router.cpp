@@ -87,6 +87,12 @@ void Router::observe(std::size_t rung, double service_ms) {
   ++overall_served_;
 }
 
+std::optional<double> Router::observed_cost(std::size_t rung) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (rung >= specs_.size() || served_[rung] == 0) return std::nullopt;
+  return ewma_ms_[rung];
+}
+
 void Router::seed_cost(std::size_t rung, double ms) {
   if (rung >= specs_.size()) {
     throw std::out_of_range("Router::seed_cost: rung out of range");

@@ -83,6 +83,10 @@ class Router {
   /// Records an observed service time for a rung (EWMA update).
   void observe(std::size_t rung, double service_ms);
 
+  /// A rung's EWMA once it has been observed (or seeded); nullopt while
+  /// route() still prices it at the prior.
+  std::optional<double> observed_cost(std::size_t rung) const;
+
   /// Pins a rung's cost to an exact value, marking it observed -- the
   /// deterministic cost table for tests.
   void seed_cost(std::size_t rung, double ms);

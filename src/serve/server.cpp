@@ -23,6 +23,7 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -56,6 +57,35 @@ void set_nonblocking(int fd) {
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// Whether a solver's cost grows about linearly with the instance: the
+/// list schedulers graham:*, rls:* and tri:*, and sbo over ls or lpt. Only
+/// these may run on the loop. pareto:exact, the fallback ladders, the
+/// constrained solvers and sbo over multifit, k-opt, a PTAS or an exact
+/// scheduler can cost far more on one instance than their observed cost
+/// on others predicts. `spec` is a canonical Solver::name().
+bool list_scheduling_spec(std::string_view spec) {
+  const std::size_t colon = spec.find(':');
+  const std::string_view family = spec.substr(0, colon);
+  if (family == "graham" || family == "rls" || family == "tri") return true;
+  if (family != "sbo" || colon == std::string_view::npos) return false;
+  std::string_view algs = spec.substr(colon + 1);
+  algs = algs.substr(0, algs.find(','));
+  while (true) {
+    const std::size_t slash = algs.find('/');
+    const std::string_view alg = algs.substr(0, slash);
+    if (alg != "ls" && alg != "lpt") return false;
+    if (slash == std::string_view::npos) return true;
+    algs.remove_prefix(slash + 1);
+  }
+}
+
+/// Whether an instance is small enough for the loop: tasks, edges and
+/// processors each at most ServeServer::kLoopSolveMaxSize.
+bool loop_sized(std::size_t tasks, std::size_t edges, std::int64_t m) {
+  constexpr std::size_t cap = ServeServer::kLoopSolveMaxSize;
+  return tasks <= cap && edges <= cap && m <= static_cast<std::int64_t>(cap);
 }
 
 /// Readiness multiplexer: epoll where available, poll(2) elsewhere. Only
@@ -162,7 +192,15 @@ struct ServeServer::Impl {
 
   ServeServer& outer;
 
-  /// One admitted request waiting for (or inside) a worker.
+  /// One validated InstanceView per published store epoch, shared by
+  /// every {"ref":N} request until the store republishes. The mapping
+  /// member keeps the bytes the view points into alive.
+  struct StoreView {
+    std::shared_ptr<storage::ShmMapping> mapping;
+    wire::InstanceView view;
+  };
+
+  /// One admitted request waiting for (or inside) a worker or the loop.
   struct Pending {
     std::uint64_t conn_id = 0;
     ServeRequest req;
@@ -171,6 +209,9 @@ struct ServeServer::Impl {
     ServeAdmission admission = ServeAdmission::kOk;
     Clock::time_point arrival;
     std::shared_ptr<CancelToken> cancel;
+    /// A loop-solved ref's epoch view, taken at admission; null on the
+    /// crew path, which resolves the ref when it solves.
+    std::shared_ptr<const StoreView> view;
   };
 
   /// One framed line, parsed outside mu_ and waiting for admission.
@@ -218,22 +259,31 @@ struct ServeServer::Impl {
   Clock::time_point flush_deadline_;
 
   // --- solver cache (own mutex: workers resolve specs mid-solve) ------
+  // Each built solver, whether it may run on the loop at all, and for the
+  // specs requests name explicitly the EWMA of their cold-solve time, with
+  // the router's smoothing factor. Routed requests read their rung's EWMA
+  // in the router instead, so each solve feeds exactly one of the two.
+  struct SolverEntry {
+    std::shared_ptr<const Solver> solver;
+    bool list_scheduling = false;    ///< list_scheduling_spec(name())
+    std::optional<double> cost_ms;   ///< unset until the first cold solve
+    bool pinned = false;             ///< pin_solver_cost(): solves skip it
+  };
   std::mutex solvers_mu_;
-  std::unordered_map<std::string, std::shared_ptr<const Solver>> solvers_;
+  std::unordered_map<std::string, SolverEntry> solvers_;
   static constexpr std::size_t kSolverCacheCap = 128;
 
   // --- shm store view (own mutex: workers resolve refs mid-solve) -----
-  // One validated InstanceView per published epoch, shared by every
-  // {"ref":N} request until the store republishes. The mapping member
-  // keeps the bytes the view points into alive.
-  struct StoreView {
-    std::shared_ptr<storage::ShmMapping> mapping;
-    wire::InstanceView view;
-  };
   std::mutex store_mu_;
   std::shared_ptr<const StoreView> store_view_;
 
   // --- loop-thread only -----------------------------------------------
+  /// The request admission chose the loop to solve, served right after
+  /// the upkeep pass that admitted it.
+  std::optional<Pending> loop_pending_;
+  /// Whether the loop's last poll found nothing ready and had to wait:
+  /// only a pass after such a poll may give a request to the loop.
+  bool loop_idle_ = false;
   Poller poller_;
   std::vector<Poller::Event> events_;
   std::vector<int> accept_fds_;
@@ -398,6 +448,7 @@ struct ServeServer::Impl {
            "}";
     out += ",\"requests\":" + std::to_string(counters_.requests);
     out += ",\"responses\":" + std::to_string(counters_.responses);
+    out += ",\"loop_solves\":" + std::to_string(counters_.loop_solves);
     out += ",\"parse_errors\":" + std::to_string(counters_.parse_errors);
     out += ",\"oversized_lines\":" + std::to_string(counters_.oversized_lines);
     out += ",\"admissions\":{\"ok\":" + std::to_string(counters_.admitted_ok) +
@@ -536,16 +587,68 @@ struct ServeServer::Impl {
         break;
     }
     if (!req.id.empty()) conn.cancelable[req.id] = pending.cancel;
-    const auto cls = static_cast<std::size_t>(req.priority);
     pending.req = std::move(req);
-    queue_[cls].push_back(std::move(pending));
-    ++queue_depth_;
-    counters_.queue_peak = std::max(counters_.queue_peak, queue_depth_);
+    const bool on_loop = loop_may_solve(pending);
     ++conn.in_flight;
     counters_.conn_window_peak =
         std::max(counters_.conn_window_peak, conn.in_flight);
     ++inflight_total_;
-    crew_->submit([this] { process_one(); });
+    if (on_loop) {
+      loop_pending_ = std::move(pending);
+    } else {
+      hand_to_crew(std::move(pending));
+    }
+    return true;
+  }
+
+  /// Queues an admitted request for the crew; under mu_, and never once
+  /// draining has begun, when the crew may already be gone.
+  void hand_to_crew(Pending pending) {
+    const auto cls = static_cast<std::size_t>(pending.req.priority);
+    queue_[cls].push_back(std::move(pending));
+    ++queue_depth_;
+    counters_.queue_peak = std::max(counters_.queue_peak, queue_depth_);
+    crew_->submit([this] { serve(take_pending(), /*on_loop=*/false); });
+  }
+
+  /// Whether the loop solves this admitted request itself instead of
+  /// handing it to the crew; under mu_, before the request counts as in
+  /// flight. Only after a poll that had to wait, while nothing admitted is
+  /// unanswered -- so the loop and the crew are idle and no other loop
+  /// solve is pending -- and only for a list
+  /// scheduling solver whose observed cold-solve cost (its rung's EWMA
+  /// for a routed request) is at or under the bound, on an instance of at
+  /// most kLoopSolveMaxSize tasks, edges and processors. A draining server
+  /// rejects before it gets here. A ref also needs the current epoch's
+  /// view already built, and carries it: validating an epoch is a crew
+  /// job, and so is waiting out a publish mid-flip.
+  bool loop_may_solve(Pending& pending) {
+    if (!loop_idle_ || inflight_total_ != 0) return false;
+    std::optional<double> cost;
+    {
+      const std::lock_guard<std::mutex> lock(solvers_mu_);
+      const auto it = solvers_.find(pending.spec);
+      if (it == solvers_.end() || !it->second.list_scheduling) return false;
+      cost = it->second.cost_ms;
+    }
+    if (pending.rung >= 0) {
+      cost = router().observed_cost(static_cast<std::size_t>(pending.rung));
+    }
+    if (!cost || *cost > ServeServer::kLoopSolveBoundMs) return false;
+    if (const auto& inst = pending.req.instance) {
+      return loop_sized(inst->n(),
+                        inst->has_precedence() ? inst->dag().edge_count() : 0,
+                        inst->m());
+    }
+    const std::optional<std::uint64_t> epoch =
+        opts().store->published_epoch();
+    if (!epoch) return false;
+    std::shared_ptr<const StoreView> view = built_view(*epoch);
+    if (!view || *pending.req.ref >= view->view.count()) return false;
+    const wire::InstanceView::Shape shape =
+        view->view.shape(static_cast<std::size_t>(*pending.req.ref));
+    if (!loop_sized(shape.tasks, shape.edges, shape.m)) return false;
+    pending.view = std::move(view);
     return true;
   }
 
@@ -568,64 +671,89 @@ struct ServeServer::Impl {
     {
       const std::lock_guard<std::mutex> lock(solvers_mu_);
       const auto it = solvers_.find(spec);
-      if (it != solvers_.end()) return it->second;
+      if (it != solvers_.end()) return it->second.solver;
     }
     std::shared_ptr<const Solver> solver = make_solver(spec);
+    const bool list_scheduling = list_scheduling_spec(solver->name());
     const std::lock_guard<std::mutex> lock(solvers_mu_);
-    if (solvers_.size() < kSolverCacheCap) solvers_.emplace(spec, solver);
+    if (solvers_.size() < kSolverCacheCap) {
+      solvers_.emplace(spec,
+                       SolverEntry{solver, list_scheduling, std::nullopt, false});
+    }
     return solver;
   }
 
-  /// Resolves a {"ref":N} request against the attached store's current
-  /// epoch. Throws std::runtime_error (answered ok:false) when nothing is
-  /// published, the index is out of range, or the store went away.
-  std::shared_ptr<const Instance> resolve_ref(std::uint64_t ref) {
+  /// Feeds one cold solve of an explicitly named spec into its cost EWMA,
+  /// as Router::observe does for a rung. A spec past the cache's cap has
+  /// no entry and so never reaches the loop.
+  void observe_cost(const std::string& spec, double solve_ms) {
+    const double a = opts().router.ewma_alpha;
+    const std::lock_guard<std::mutex> lock(solvers_mu_);
+    const auto it = solvers_.find(spec);
+    if (it == solvers_.end() || it->second.pinned) return;
+    std::optional<double>& cost = it->second.cost_ms;
+    cost = cost ? a * solve_ms + (1 - a) * *cost : solve_ms;
+  }
+
+  /// The view of `epoch` if a request already built it, else null.
+  std::shared_ptr<const StoreView> built_view(std::uint64_t epoch) {
+    const std::lock_guard<std::mutex> lock(store_mu_);
+    if (store_view_ && store_view_->mapping->epoch() == epoch) {
+      return store_view_;
+    }
+    return nullptr;
+  }
+
+  /// Resolves a {"ref":N} request against `view`, or when it is null
+  /// against the attached store's current epoch. Throws
+  /// std::runtime_error (answered ok:false) when nothing is published, the
+  /// index is out of range, or the store went away.
+  std::shared_ptr<const Instance> resolve_ref(
+      std::uint64_t ref, std::shared_ptr<const StoreView> view) {
     storage::ShmStore* store = opts().store;  // non-null: checked at admission
-    const std::shared_ptr<storage::ShmMapping> snap = store->snapshot();
-    if (!snap) {
-      throw std::runtime_error("instance store \"" + store->name() +
-                               "\" has no published epoch");
-    }
-    std::shared_ptr<const StoreView> view;
-    {
-      const std::lock_guard<std::mutex> lock(store_mu_);
-      if (store_view_ && store_view_->mapping->epoch() == snap->epoch()) {
-        view = store_view_;
-      }
-    }
     if (!view) {
-      // Validate the new epoch once, outside the lock; racing workers may
-      // both build it, last one wins (both are equally valid).
-      auto fresh = std::make_shared<StoreView>(
-          StoreView{snap, wire::InstanceView(snap->bytes())});
-      const std::lock_guard<std::mutex> lock(store_mu_);
-      store_view_ = fresh;
-      view = std::move(fresh);
+      const std::shared_ptr<storage::ShmMapping> snap = store->snapshot();
+      if (!snap) {
+        throw std::runtime_error("instance store \"" + store->name() +
+                                 "\" has no published epoch");
+      }
+      view = built_view(snap->epoch());
+      if (!view) {
+        // Validate the new epoch once, outside the lock; racing workers may
+        // both build it, last one wins (both are equally valid).
+        auto fresh = std::make_shared<const StoreView>(
+            StoreView{snap, wire::InstanceView(snap->bytes())});
+        const std::lock_guard<std::mutex> lock(store_mu_);
+        store_view_ = fresh;
+        view = std::move(fresh);
+      }
     }
     if (ref >= view->view.count()) {
       throw std::runtime_error(
           "\"ref\":" + std::to_string(ref) + " out of range: store \"" +
-          store->name() + "\" epoch " + std::to_string(snap->epoch()) +
-          " holds " + std::to_string(view->view.count()) + " instances");
+          store->name() + "\" epoch " +
+          std::to_string(view->mapping->epoch()) + " holds " +
+          std::to_string(view->view.count()) + " instances");
     }
     return std::make_shared<const Instance>(view->view.materialize(
         static_cast<std::size_t>(ref)));
   }
 
-  void process_one() {
-    Pending pending;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      // One queued Pending per submitted job, so a class is non-empty.
-      for (auto& cls : queue_) {
-        if (cls.empty()) continue;
-        pending = std::move(cls.front());
-        cls.pop_front();
-        break;
-      }
-      --queue_depth_;
-    }
+  /// Takes the next queued request for a worker, highest class first.
+  Pending take_pending() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    // One queued Pending per submitted job, so a class is non-empty.
+    auto cls = queue_.begin();
+    while (cls->empty()) ++cls;
+    Pending pending = std::move(cls->front());
+    cls->pop_front();
+    --queue_depth_;
+    return pending;
+  }
 
+  /// Solves one admitted request and delivers its response line, on a
+  /// worker or (on_loop) on the loop thread.
+  void serve(Pending pending, bool on_loop) {
     ServeResponse response;
     response.id = pending.req.id;
     response.admission = pending.admission;
@@ -652,7 +780,9 @@ struct ServeServer::Impl {
         expired = true;
       } else {
         std::shared_ptr<const Instance> inst = pending.req.instance;
-        if (inst == nullptr) inst = resolve_ref(*pending.req.ref);
+        if (inst == nullptr) {
+          inst = resolve_ref(*pending.req.ref, std::move(pending.view));
+        }
         SolveOptions solve_options = opts().solve;
         solve_options.cancel = pending.cancel;
         if (pending.req.deadline_ms) {
@@ -673,11 +803,15 @@ struct ServeServer::Impl {
         cache = solve.cache;
         response.solve_ms = ms_since(solve_start);
         have_result = true;
-        // Hits skip the router's latency model: a hash lookup says nothing
-        // about what a cold solve on this rung costs.
-        if (pending.rung >= 0 && cache != storage::CacheOutcome::kHit) {
-          router().observe(static_cast<std::size_t>(pending.rung),
-                           response.solve_ms);
+        // Hits skip the latency model: a hash lookup says nothing about
+        // what a cold solve with this solver costs.
+        if (cache != storage::CacheOutcome::kHit) {
+          if (pending.rung >= 0) {
+            router().observe(static_cast<std::size_t>(pending.rung),
+                             response.solve_ms);
+          } else {
+            observe_cost(pending.spec, response.solve_ms);
+          }
         }
       }
     } catch (const InjectedFault& fault) {
@@ -699,6 +833,7 @@ struct ServeServer::Impl {
       if (solve_error) ++counters_.solve_errors;
       if (cache == storage::CacheOutcome::kHit) ++counters_.cache_hits;
       if (cache == storage::CacheOutcome::kMiss) ++counters_.cache_misses;
+      if (on_loop) ++counters_.loop_solves;
       ++counters_.responses;
       --inflight_total_;
       const auto fd_it = conn_fd_.find(pending.conn_id);
@@ -708,15 +843,20 @@ struct ServeServer::Impl {
         conn.outbox += line;
         conn.outbox += '\n';
         if (conn.in_flight > 0) --conn.in_flight;
-        if (!pending.req.id.empty()) conn.cancelable.erase(pending.req.id);
-        // When the loop has nothing else to do for this connection, write
-        // here and let it sleep; a partial send or a dead peer falls back
-        // to waking it. With requests queued, workers go back to solving
-        // and leave the loop to batch the writes. Lines waiting for the
-        // window need no check: the response that reopened it found the
-        // connection paused and woke the loop.
+        // A later request that reused the id owns the entry by now.
+        const auto token = conn.cancelable.find(pending.req.id);
+        if (token != conn.cancelable.end() && token->second == pending.cancel) {
+          conn.cancelable.erase(token);
+        }
+        // The loop writes its own response in the upkeep pass that
+        // follows. A worker writes here when the loop has nothing else to
+        // do for this connection, and lets it sleep; a partial send or a
+        // dead peer falls back to waking it. With requests queued, workers
+        // go back to solving and leave the loop to batch the writes. Lines
+        // waiting for the window need no check: the response that
+        // reopened it found the connection paused and woke the loop.
         const bool loop_idle_for_conn =
-            queue_depth_ == 0 && !was_paused && !conn.reg_write &&
+            !on_loop && queue_depth_ == 0 && !was_paused && !conn.reg_write &&
             !conn.peer_eof && !draining_ && !flush_exit_;
         if (loop_idle_for_conn && flush_outbox(conn) && conn.outbox.empty()) {
           return;
@@ -724,7 +864,7 @@ struct ServeServer::Impl {
       }
       // else: the connection died first; the response is dropped.
     }
-    wake();
+    if (!on_loop) wake();
   }
 
   // ------------------------------------------------------ loop plumbing
@@ -842,8 +982,22 @@ struct ServeServer::Impl {
       if (shutdown_requested_.load(std::memory_order_acquire)) {
         request_cv_.notify_all();
       }
+      // Solve what admission gave the loop, then run the upkeep pass again
+      // before polling: it writes the response and admits a line that
+      // waited for the window slot the response freed.
+      if (loop_pending_) {
+        loop_idle_ = false;
+        serve(*std::exchange(loop_pending_, std::nullopt), /*on_loop=*/true);
+        continue;
+      }
 
-      poller_.wait(/*timeout_ms=*/200, events_);
+      // Under load, bytes or a wake-up are already waiting when the loop
+      // comes back to poll, and the crew takes every request the next
+      // pass admits: a loop that solves would read and write for everyone
+      // else that much later.
+      poller_.wait(/*timeout_ms=*/0, events_);
+      loop_idle_ = events_.empty();
+      if (loop_idle_) poller_.wait(/*timeout_ms=*/200, events_);
       // Read, frame and parse without mu_; the next upkeep pass admits.
       accept_fds_.clear();
       for (const auto& event : events_) {
@@ -993,6 +1147,18 @@ void ServeServer::wait_for_shutdown_request() {
   impl.request_cv_.wait(lock, [&impl] {
     return impl.shutdown_requested_.load(std::memory_order_acquire);
   });
+}
+
+void ServeServer::pin_solver_cost(const std::string& spec, double ms) {
+  Impl& impl = *impl_;
+  impl.solver_for(spec);
+  const std::lock_guard<std::mutex> lock(impl.solvers_mu_);
+  const auto it = impl.solvers_.find(spec);
+  if (it == impl.solvers_.end()) {
+    throw std::length_error("ServeServer::pin_solver_cost: solver cache full");
+  }
+  it->second.cost_ms = ms;
+  it->second.pinned = true;
 }
 
 int ServeServer::tcp_port() const { return impl_->bound_tcp_port_; }

@@ -5,14 +5,21 @@
 // connections (epoll on Linux, poll(2) elsewhere -- see Poller in
 // server.cpp), reads, frames and parses JSONL request lines
 // (serve/protocol.hpp) without the server's lock, then under it runs
-// admission in line order and queues admitted requests for a persistent
-// WorkerCrew (common/parallel.hpp) that solves them. A worker appends its
-// response line to the connection's outbox and writes the outbox itself
-// when the loop has nothing else to do for that connection (no queued
-// request, no paused window, pending write or EOF, no drain); if that
-// write is partial, or in any other case, it wakes the loop, which
-// finishes the write. Sockets are non-blocking; every write and close
-// happens under the server's lock. Connections are persistent and
+// admission in line order. An admitted request goes to a persistent
+// WorkerCrew (common/parallel.hpp) unless the loop and the crew are idle
+// (the loop's last poll had to wait, nothing admitted is unanswered),
+// the request's solver is a list scheduler with an observed cold-solve
+// cost at or under ServeServer::kLoopSolveBoundMs (the measured mean
+// latency of a handoff) and the instance is at most
+// ServeServer::kLoopSolveMaxSize tasks, edges and processors: then the
+// loop solves it itself once the lock is released (docs/SERVING.md,
+// "Who solves a request"). A worker appends its response line to the
+// connection's outbox and writes the outbox itself when the loop has
+// nothing else to do for that connection (no queued request, no paused
+// window, pending write or EOF, no drain); if that write is partial, or
+// in any other case, it wakes the loop, which finishes the write. The loop's own responses are written by the upkeep
+// pass that follows the solve. Sockets are non-blocking; every write and
+// close happens under the server's lock. Connections are persistent and
 // pipelined: responses return on the request's connection, matched by
 // the echoed "id" (they may be reordered by solve completion).
 //
@@ -31,7 +38,8 @@
 // Per-request deadlines and cancellation ride the existing SolveOptions
 // envelope: an expired deadline (queue wait included) answers
 // infeasible-with-diagnostics -- never a dropped connection -- and a
-// {"cancel":"id"} message trips the request's CancelToken.
+// {"cancel":"id"} message trips the CancelToken of the most recently
+// admitted unanswered request with that id.
 //
 // Which solver answers is the Router's call (serve/router.hpp) unless
 // the request names an explicit "spec". Introspection is in-band: a
@@ -45,6 +53,7 @@
 // testable under concurrent clients.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -107,6 +116,7 @@ struct ServeCounters {
   std::uint64_t connections_open = 0;
   std::uint64_t requests = 0;        ///< solve requests admitted or rejected
   std::uint64_t responses = 0;       ///< response lines queued for write
+  std::uint64_t loop_solves = 0;     ///< solved by the event loop, not the crew
   std::uint64_t parse_errors = 0;
   std::uint64_t oversized_lines = 0;
   std::uint64_t admitted_ok = 0;
@@ -133,6 +143,18 @@ struct ServeCounters {
 /// signal handler.
 class ServeServer {
  public:
+  /// The loop solves an admitted request itself only while it and the
+  /// crew are idle and its solver's EWMA of cold-solve time is at or under
+  /// this many milliseconds: the measured mean latency of handing a
+  /// request to the crew (admission to the start of the solve on
+  /// serve-mixed, see docs/SERVING.md). A costlier solve is cheaper to
+  /// hand off than to make the other connections wait behind.
+  static constexpr double kLoopSolveBoundMs = 0.032;
+  /// ... and only on an instance of at most this many tasks, precedence
+  /// edges and processors, the largest size the bound was measured at: an
+  /// EWMA observed on small instances says nothing about a large one.
+  static constexpr std::size_t kLoopSolveMaxSize = 128;
+
   explicit ServeServer(ServeOptions options);
   ~ServeServer();
   ServeServer(const ServeServer&) = delete;
@@ -161,6 +183,14 @@ class ServeServer {
   unsigned workers() const;
   ServeCounters counters() const;
   Router& router() { return *router_; }
+
+  /// Pins the cold-solve cost of requests that name `spec` explicitly, as
+  /// admission reads it against kLoopSolveBoundMs, to `ms`; later solves
+  /// no longer move it. Builds the solver if need be
+  /// (std::invalid_argument on a bad spec). The deterministic cost table
+  /// for tests; routed requests read their rung's cost, which
+  /// Router::seed_cost sets.
+  void pin_solver_cost(const std::string& spec, double ms);
 
  private:
   struct Impl;

@@ -290,6 +290,17 @@ void ShmStore::publish(std::string_view container) {
   }
 }
 
+std::optional<std::uint64_t> ShmStore::published_epoch() const {
+  const Word* seq = meta_word(meta_, kMetaSeq);
+  const std::uint64_t s1 = seq->load(std::memory_order_acquire);
+  if (s1 & 1) return std::nullopt;
+  const std::uint64_t epoch =
+      meta_word(meta_, kMetaEpoch)->load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (seq->load(std::memory_order_relaxed) != s1) return std::nullopt;
+  return epoch;
+}
+
 std::shared_ptr<ShmMapping> ShmStore::snapshot() const {
   const Word* seq = meta_word(meta_, kMetaSeq);
   for (int attempt = 0; attempt < kBoundedWaitMs; ++attempt) {

@@ -126,6 +126,11 @@ class ShmStore {
   /// never stabilizes (a stuck odd seqlock: a writer died mid-flip).
   std::shared_ptr<ShmMapping> snapshot() const;
 
+  /// The published epoch (0 = nothing published yet) from one seqlock
+  /// read that never waits or maps: nullopt while a publish is mid-flip or
+  /// when one lands during the read.
+  std::optional<std::uint64_t> published_epoch() const;
+
   /// The shared result cache living in the metadata segment.
   SolveCache& cache() { return *cache_; }
 

@@ -90,6 +90,19 @@ class InstanceView {
 
   std::size_t count() const { return records_.size(); }
 
+  /// Instance `i`'s task, edge and processor counts, read from its record
+  /// without materializing it. Precondition: i < count().
+  struct Shape {
+    std::size_t tasks = 0;
+    std::size_t edges = 0;
+    std::int32_t m = 1;
+  };
+  Shape shape(std::size_t i) const {
+    const Record& rec = records_[i];
+    return {static_cast<std::size_t>(rec.task_count),
+            static_cast<std::size_t>(rec.edge_count), rec.m};
+  }
+
   /// Rebuilds instance `i` as an owning Instance (weights and adjacency
   /// copied out of the columns). Precondition: i < count().
   Instance materialize(std::size_t i) const;

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -60,6 +61,16 @@ TEST(ServeRouter, PicksCheapestRungMeetingSlo) {
   EXPECT_EQ(d.spec, "c");
   EXPECT_TRUE(d.met_slo);
   EXPECT_FALSE(d.degraded);
+}
+
+TEST(ServeRouter, ObservedCostIsUnsetUntilARungIsObservedOrSeeded) {
+  Router router({"a", "b"});
+  EXPECT_FALSE(router.observed_cost(0));
+  EXPECT_FALSE(router.observed_cost(2));
+  router.observe(0, 0.5);
+  router.seed_cost(1, 3);
+  EXPECT_EQ(router.observed_cost(0), 0.5);
+  EXPECT_EQ(router.observed_cost(1), 3.0);
 }
 
 TEST(ServeRouter, TiesBreakTowardBetterQuality) {
@@ -791,6 +802,41 @@ TEST_F(ServeServerTest, CancelTripsAQueuedRequest) {
   server.shutdown();
 }
 
+TEST_F(ServeServerTest, CancelReachesTheLaterRequestThatReusesAnId) {
+  // Two queued requests share the id "x". When the first is answered, the
+  // cancel entry for "x" already belongs to the second, so it must stay:
+  // a cancel that follows reaches the request still in flight.
+  ServeOptions options = base_options("cancelreuse");
+  options.threads = 1;
+  ServeServer server(options);
+  server.start();
+  failpoint::set("serve.solve", "delay(60)");
+
+  TestClient client(options.unix_path);
+  const std::string x = std::string(R"({"id":"x","instance":)") + kInstance +
+                        "}\n";
+  client.send_raw(x + x);
+  const auto first = client.read_line();
+  ASSERT_TRUE(first);
+  EXPECT_TRUE(contains(*first, R"("feasible":true)")) << *first;
+
+  client.send_line(R"({"cancel":"x"})");
+  bool acked = false;
+  bool second_infeasible = false;
+  for (int i = 0; i < 2; ++i) {
+    const auto line = client.read_line();
+    ASSERT_TRUE(line);
+    if (contains(*line, R"("cancelled":"x")")) acked = true;
+    if (id_of(*line) == "x" && contains(*line, R"("feasible":false)")) {
+      second_infeasible = true;
+    }
+  }
+  EXPECT_TRUE(acked) << "the cancel must find the second request";
+  EXPECT_TRUE(second_infeasible);
+  EXPECT_EQ(server.counters().cancelled, 1u);
+  server.shutdown();
+}
+
 TEST_F(ServeServerTest, RouterDegradesOverTheLadderUnderASeededCostTable) {
   ServeOptions options = base_options("routerladder");
   options.ladder = {"sbo:lpt,delta=3/2", "graham:lpt"};
@@ -1264,6 +1310,65 @@ void send_in_chunks(TestClient& client, const std::string& bytes, Rng& rng,
   }
 }
 
+/// The loop solves a request only in a pass after a poll that found
+/// nothing ready (docs/SERVING.md, "Who solves a request"). A client that
+/// sends the moment it has connected or read an answer can beat the loop
+/// back to that poll, and its request then goes to the crew; a test that
+/// needs the loop's solve gives the loop that moment first.
+void let_the_loop_poll() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+}
+
+/// Sends `line` after let_the_loop_poll() and returns the answer. When
+/// `loop` is set the request should be the loop's, and one the crew
+/// answered instead (it still beat the loop back to its poll) is sent
+/// again, up to five times; the caller checks loop_solves.
+std::optional<std::string> ask(ServeServer& server, TestClient& client,
+                               const std::string& line, bool loop) {
+  const std::uint64_t before = server.counters().loop_solves;
+  std::optional<std::string> answer;
+  for (int attempt = 0; attempt < (loop ? 5 : 1); ++attempt) {
+    let_the_loop_poll();
+    client.send_line(line);
+    answer = client.read_line();
+    if (!answer || server.counters().loop_solves > before) break;
+  }
+  return answer;
+}
+
+/// Sends `line` after let_the_loop_poll() to a server whose queue has
+/// never held a request and waits for its admission. Returns whether the
+/// loop took it: a request handed to the crew raises the queue's peak.
+bool send_to_the_loop(ServeServer& server, TestClient& client,
+                      const std::string& line) {
+  const ServeCounters before = server.counters();
+  let_the_loop_poll();
+  client.send_line(line);
+  for (int waited_ms = 0; server.counters().requests == before.requests;
+       ++waited_ms) {
+    if (waited_ms >= 10000) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return server.counters().queue_peak == before.queue_peak;
+}
+
+/// A request for a three-task instance whose last memory weight is
+/// `weight`, so that consecutive requests are distinct solves.
+std::string cheap_request(const std::string& id, int weight,
+                          const std::string& spec = "graham:lpt") {
+  return R"({"id":")" + id + R"(","spec":")" + spec +
+         R"(","instance":{"m":2,"tasks":[[3,1],[2,2],[5,)" +
+         std::to_string(weight) + "]]}}";
+}
+
+/// The value of a response line's numeric field, or -1 without one.
+double number_of(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return -1;
+  return std::strtod(line.c_str() + at + tag.size(), nullptr);
+}
+
 TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
   // The serve slice of the differential check: the same corpus answered
   // inline, by reference into the store, and again from the warm cache
@@ -1271,7 +1376,9 @@ TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
   // past the envelope. The corpus holds the four families at n = 10, 20
   // and 128 (m = 4), layered DAGs at n = 30 and the tied pair. Each pass
   // spreads its requests over three connections and writes each stream in
-  // random chunks.
+  // random chunks. A last pass sends each entry inline and by reference
+  // one request at a time, and the loop answers those of the list
+  // scheduling specs, which it pins cheap.
   std::vector<Instance> corpus;
   Rng rng(20);
   for (const char* family :
@@ -1302,7 +1409,9 @@ TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
   options.cache = &store.cache();
   options.result.include_schedule = true;
   // One worker: concurrent inserts may evict each other's fresh entries,
-  // which would make the hit count below depend on the interleaving.
+  // which would make the hit count below depend on the interleaving. (The
+  // loop solves only while nothing else is in flight, so at most one of
+  // its solves runs beside the worker's.)
   options.threads = 1;
   ServeServer server(options);
   server.start();
@@ -1368,6 +1477,43 @@ TEST_F(ServeServerTest, InlineRefAndWarmCacheAnswersMatchSolveBatch) {
             << spec << " " << pass << " #" << i << ": " << line;
       }
     }
+
+    // One request at a time. With the list-scheduling specs pinned cheap,
+    // the loop answers each of these whose instance fits its size cap,
+    // cold, warm and by reference; pareto:exact stays on the crew.
+    const bool list_spec = std::string(spec) != "pareto:exact";
+    if (list_spec) server.pin_solver_cost(spec, 0);
+    const std::uint64_t requests_before = server.counters().requests;
+    std::size_t on_loop_count = 0;
+    for (std::size_t k = 0; k < picked.size(); ++k) {
+      const std::size_t i = picked[k];
+      const Instance& inst = corpus[i];
+      const std::size_t edges =
+          inst.has_precedence() ? inst.dag().edge_count() : 0;
+      const bool on_loop =
+          list_spec &&
+          std::max(inst.n(), edges) <= ServeServer::kLoopSolveMaxSize;
+      for (const bool by_ref : {false, true}) {
+        const std::uint64_t before = server.counters().loop_solves;
+        const auto line = ask(
+            server, clients[0],
+            R"({"id":")" + std::to_string(i) + R"(","spec":")" + spec + "\"," +
+                (by_ref ? R"("ref":)" + std::to_string(i)
+                        : R"("instance":)" + instance_to_jsonl(inst)) +
+                "}",
+            on_loop);
+        ASSERT_TRUE(line) << spec << " one at a time: response missing";
+        EXPECT_EQ(fields_after(*line),
+                  fields_after(result_to_jsonl(i, batch[k], options.result)))
+            << spec << " one at a time #" << i << ": " << *line;
+        EXPECT_EQ(server.counters().loop_solves, before + (on_loop ? 1 : 0))
+            << spec << " one at a time #" << i;
+        on_loop_count += on_loop ? 1 : 0;
+      }
+    }
+    // ask() may have sent a request more than once.
+    solves += server.counters().requests - requests_before;
+    EXPECT_EQ(on_loop_count > 0, list_spec) << spec;
   }
 
   // Every request took the cache path, and every small independent entry
@@ -1454,6 +1600,309 @@ TEST_F(ServeServerTest, ConcurrentChunkedClientsGetEveryAnswerOnce) {
   EXPECT_EQ(counters.responses, counters.requests + counters.parse_errors);
   EXPECT_EQ(counters.parse_errors, 4u * kPerClient / kMalformedEvery);
   EXPECT_EQ(counters.oversized_lines, 0u);
+}
+
+// ------------------------------------------------ who solves a request
+//
+// Whether a cheap solver's measured cost is under the loop's bound depends
+// on the build (a sanitizer build solves several times slower), so the
+// tests that need one pin its cost with pin_solver_cost(). The first test
+// measures, and skips where this build is too slow for the bound.
+
+/// The result fields graham:lpt answers cheap_request(_, weight) with, as
+/// fields_after() cuts them from a response line.
+std::string cheap_answer(int weight) {
+  const Instance inst(std::vector<Task>{{3, 1}, {2, 2}, {5, weight}}, 2);
+  const SolveResult result = make_solver("graham:lpt")->solve(inst);
+  return fields_after(result_to_jsonl(0, result));
+}
+
+TEST_F(ServeServerTest, FirstRequestOfASolverGoesToTheCrewThenTheLoopSolves) {
+  ServeOptions options = base_options("loopfirst");
+  ServeServer server(options);
+  server.start();
+  TestClient client(options.unix_path);
+
+  // Nothing has measured graham:lpt yet, so the crew takes the first one.
+  client.send_line(cheap_request("first", 1));
+  const auto first = client.read_line();
+  ASSERT_TRUE(first);
+  EXPECT_EQ(fields_after(*first), cheap_answer(1)) << *first;
+  EXPECT_EQ(server.counters().loop_solves, 0u);
+
+  // Once its measured cost is under the bound, a request that finds the
+  // crew idle is the loop's, and the loop answers what the solver does.
+  std::vector<double> solve_ms;
+  for (int weight = 2;
+       weight <= 200 && server.counters().loop_solves == 0; ++weight) {
+    let_the_loop_poll();
+    client.send_line(cheap_request("next", weight));
+    const auto line = client.read_line();
+    ASSERT_TRUE(line);
+    EXPECT_EQ(fields_after(*line), cheap_answer(weight)) << *line;
+    solve_ms.push_back(number_of(*line, "solve_ms"));
+  }
+  server.shutdown();
+  std::sort(solve_ms.begin(), solve_ms.end());
+  const double median_ms = solve_ms[solve_ms.size() / 2];
+  if (server.counters().loop_solves == 0 &&
+      median_ms > ServeServer::kLoopSolveBoundMs / 2) {
+    GTEST_SKIP() << "this build's median solve, " << median_ms
+                 << " ms, is too slow for the loop's bound";
+  }
+  EXPECT_GT(server.counters().loop_solves, 0u);
+}
+
+TEST_F(ServeServerTest, APinnedCheapSolverIsSolvedByTheLoopOneRequestAtATime) {
+  ServeOptions options = base_options("looppinned");
+  ServeServer server(options);
+  server.pin_solver_cost("graham:lpt", 0);
+  server.start();
+  TestClient client(options.unix_path);
+  for (int weight = 1; weight <= 5; ++weight) {
+    const auto line = ask(server, client, cheap_request("q", weight), true);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(fields_after(*line), cheap_answer(weight)) << *line;
+  }
+  // A costlier pin sends the next one to the crew.
+  server.pin_solver_cost("graham:lpt", 2 * ServeServer::kLoopSolveBoundMs);
+  client.send_line(cheap_request("q", 6));
+  ASSERT_TRUE(client.read_line());
+  EXPECT_EQ(server.counters().loop_solves, 5u);
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, ARequestAdmittedWhileAnotherIsInFlightGoesToTheCrew) {
+  ServeOptions options = base_options("loopbusy");
+  ServeServer server(options);
+  server.pin_solver_cost("graham:lpt", 0);
+  server.start();
+  TestClient client(options.unix_path);
+
+  // The first request's spec is unmeasured, so it goes to the crew, where
+  // the failpoint holds it for 50 ms. The second is pinned cheap and
+  // arrives alone at an idle loop, but it finds the first in flight.
+  failpoint::set("serve.solve", "delay(50)");
+  client.send_line(cheap_request("held", 5, "rls:bottom,delta=3"));
+  for (int waited_ms = 0; server.counters().requests == 0; ++waited_ms) {
+    ASSERT_LT(waited_ms, 10000) << "the request was never admitted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  let_the_loop_poll();
+  client.send_line(cheap_request("second", 6));
+  std::map<std::string, std::string> answers;
+  for (int i = 0; i < 2; ++i) {
+    const auto line = client.read_line();
+    ASSERT_TRUE(line);
+    answers[id_of(*line)] = *line;
+  }
+  EXPECT_TRUE(contains(answers["held"], R"("feasible":true)"));
+  EXPECT_EQ(fields_after(answers["second"]), cheap_answer(6));
+  EXPECT_EQ(server.counters().loop_solves, 0u);
+
+  // With nothing in flight, the same request is the loop's.
+  failpoint::clear_all();
+  ASSERT_TRUE(ask(server, client, cheap_request("third", 6), true));
+  EXPECT_EQ(server.counters().loop_solves, 1u);
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, ARequestThatArrivedDuringALoopSolveGoesToTheCrew) {
+  const ServeOptions options = base_options("loopwaiting");
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 5) << "the loop never took the first request";
+    ServeServer server(options);
+    server.pin_solver_cost("graham:lpt", 0);
+    server.start();
+    TestClient c(options.unix_path);
+    TestClient a(options.unix_path);
+
+    // The loop takes "c" and the failpoint holds it there for 100 ms; the
+    // admission shows in the counters once the pass is over, and 20 ms on
+    // the loop is inside the solve. "a" arrives meanwhile, so its bytes
+    // are waiting when the loop comes back to poll: the loop is busy, and
+    // the crew solves "a" although it is idle.
+    failpoint::set("serve.solve", "nth(1):delay(100)");
+    if (!send_to_the_loop(server, c, cheap_request("c", 3))) {
+      failpoint::clear_all();  // "c" beat the loop back to its poll
+      server.shutdown();
+      continue;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    a.send_line(cheap_request("a", 4));
+    const auto from_c = c.read_line();
+    const auto from_a = a.read_line();
+    ASSERT_TRUE(from_c);
+    ASSERT_TRUE(from_a);
+    EXPECT_EQ(fields_after(*from_c), cheap_answer(3)) << *from_c;
+    EXPECT_EQ(fields_after(*from_a), cheap_answer(4)) << *from_a;
+    EXPECT_EQ(server.counters().loop_solves, 1u);
+    server.shutdown();
+    return;
+  }
+}
+
+TEST_F(ServeServerTest, ASolverCostlierThanTheBoundStaysOnTheCrew) {
+  // A routed request reads its rung's cost in the router. Seeded at 1 ms,
+  // the rung stays over the bound through the three solves below, each
+  // of which the crew answers.
+  ServeOptions options = base_options("loopcostly");
+  options.ladder = {"graham:lpt"};
+  ServeServer server(options);
+  server.router().seed_cost(0, 1.0);
+  server.start();
+  TestClient client(options.unix_path);
+  for (int weight = 1; weight <= 3; ++weight) {
+    client.send_line(R"({"id":"q","instance":{"m":2,"tasks":[[3,1],[2,2],[5,)" +
+                     std::to_string(weight) + "]]}}");
+    const auto line = client.read_line();
+    ASSERT_TRUE(line);
+    EXPECT_EQ(fields_after(*line), cheap_answer(weight)) << *line;
+  }
+  EXPECT_EQ(server.counters().loop_solves, 0u);
+  // Seeded cheap, the rung's next request is the loop's.
+  server.router().seed_cost(0, 0);
+  const auto line = ask(
+      server, client,
+      R"({"id":"q","instance":{"m":2,"tasks":[[3,1],[2,2],[5,4]]}})", true);
+  ASSERT_TRUE(line);
+  EXPECT_EQ(fields_after(*line), cheap_answer(4)) << *line;
+  EXPECT_EQ(server.counters().loop_solves, 1u);
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, ALargeInstanceOrAnExponentialSolverStaysOnTheCrew) {
+  // Every spec here is pinned cheap, as a run of tiny instances would
+  // leave it. The loop still takes only list scheduling on an instance of
+  // at most kLoopSolveMaxSize tasks, edges and processors.
+  ServeOptions options = base_options("loopsize");
+  ServeServer server(options);
+  for (const char* spec :
+       {"graham:lpt", "rls:bottom,delta=3", "pareto:exact",
+        "fallback:pareto:exact;sbo:lpt,delta=3/2", "sbo:multifit,delta=1"}) {
+    server.pin_solver_cost(spec, 0);
+  }
+  server.start();
+  TestClient client(options.unix_path);
+  const std::size_t cap = ServeServer::kLoopSolveMaxSize;
+  Rng rng(13);
+  const auto instance = [&](std::size_t n, int m) {
+    GenParams params;
+    params.n = n;
+    params.m = m;
+    return generate_by_name("uniform", params, rng);
+  };
+  const auto solve = [&](const std::string& spec, const Instance& inst,
+                         bool on_loop) {
+    const std::uint64_t before = server.counters().loop_solves;
+    const auto line = ask(server, client,
+                          R"({"id":"q","spec":")" + spec +
+                              R"(","instance":)" + instance_to_jsonl(inst) +
+                              "}",
+                          on_loop);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(fields_after(*line),
+              fields_after(result_to_jsonl(0, make_solver(spec)->solve(inst))))
+        << spec << ": " << *line;
+    EXPECT_EQ(server.counters().loop_solves, before + (on_loop ? 1 : 0))
+        << spec << " at n = " << inst.n() << ", m = " << inst.m();
+  };
+  solve("graham:lpt", instance(cap, 4), /*on_loop=*/true);
+  solve("graham:lpt", instance(cap + 1, 4), /*on_loop=*/false);
+  solve("graham:lpt", instance(3, static_cast<int>(cap) + 1), false);
+  const Instance dag = generate_dag_by_name("layered", 60, 4, {}, rng);
+  ASSERT_GT(dag.dag().edge_count(), cap) << "the premise: a dense DAG";
+  solve("rls:bottom,delta=3", dag, /*on_loop=*/false);
+  solve("rls:bottom,delta=3", instance(20, 4), /*on_loop=*/true);
+  solve("pareto:exact", instance(12, 3), /*on_loop=*/false);
+  solve("fallback:pareto:exact;sbo:lpt,delta=3/2", instance(5, 2), false);
+  solve("sbo:multifit,delta=1", instance(5, 2), /*on_loop=*/false);
+  server.shutdown();
+}
+
+TEST_F(ServeServerTest, ARefWhoseEpochViewIsNotBuiltGoesToTheCrew) {
+  const std::string store_name =
+      "storesched-test-serve-loopref-" + std::to_string(::getpid());
+  storage::ShmStore::unlink(store_name);
+  storage::ShmStore store = storage::ShmStore::create(store_name);
+  const std::vector<Instance> first = {
+      Instance(std::vector<Task>{{3, 1}, {2, 2}, {5, 4}}, 2),
+      Instance(std::vector<Task>{{7, 7}}, 1),
+  };
+  Rng rng(14);
+  GenParams large;
+  large.n = ServeServer::kLoopSolveMaxSize + 1;
+  large.m = 4;
+  const std::vector<Instance> second = {
+      Instance(std::vector<Task>{{9, 2}, {4, 4}, {1, 8}, {6, 3}}, 3),
+      Instance(std::vector<Task>{{2, 5}, {2, 5}}, 2),
+      generate_by_name("uniform", large, rng),
+  };
+  store.publish(wire::encode_instances(first));
+
+  ServeOptions options = base_options("loopref");
+  options.store = &store;
+  ServeServer server(options);
+  server.pin_solver_cost("graham:lpt", 0);
+  server.start();
+  const std::unique_ptr<Solver> solver = make_solver("graham:lpt");
+  TestClient client(options.unix_path);
+
+  // One ref at a time, with the spec pinned cheap and the crew idle:
+  // whether the loop solves it rests on the epoch view alone.
+  const auto ref = [&](int index, const Instance& expected, bool on_loop) {
+    const std::uint64_t before = server.counters().loop_solves;
+    const auto line = ask(server, client,
+                          R"({"id":"r","spec":"graham:lpt","ref":)" +
+                              std::to_string(index) + "}",
+                          on_loop);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(fields_after(*line),
+              fields_after(result_to_jsonl(0, solver->solve(expected))))
+        << *line;
+    EXPECT_EQ(server.counters().loop_solves, before + (on_loop ? 1 : 0))
+        << "ref " << index;
+  };
+  ref(0, first[0], /*on_loop=*/false);  // no view built yet
+  ref(1, first[1], /*on_loop=*/true);
+  store.publish(wire::encode_instances(second));
+  ref(1, second[1], /*on_loop=*/false);  // the view is of the old epoch
+  ref(0, second[0], /*on_loop=*/true);
+  ref(2, second[2], /*on_loop=*/false);  // more tasks than the size cap
+
+  server.shutdown();
+  EXPECT_GT(storage::ShmStore::unlink(store_name), 0u);
+}
+
+TEST_F(ServeServerTest, ADrainDuringALoopSolveAnswersItBeforeClosing) {
+  const ServeOptions options = base_options("loopdrain");
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 5) << "the loop never took the request";
+    ServeServer server(options);
+    server.pin_solver_cost("graham:lpt", 0);
+    server.start();
+    TestClient client(options.unix_path);
+
+    // The loop takes this request and the failpoint holds it there for
+    // 100 ms. Once the admission shows in the counters, the pass that
+    // admitted it is over, so the drain starts while the loop solves it.
+    failpoint::set("serve.solve", "delay(100)");
+    if (!send_to_the_loop(server, client, cheap_request("held", 7))) {
+      failpoint::clear_all();  // it beat the loop back to its poll
+      server.shutdown();
+      continue;
+    }
+    std::thread drainer([&server] { server.shutdown(); });
+    const auto held = client.read_line();
+    const auto after = client.read_line();  // EOF: the connection closed
+    drainer.join();
+    ASSERT_TRUE(held) << "the loop's request must be answered before closing";
+    EXPECT_EQ(id_of(*held), "held");
+    EXPECT_EQ(fields_after(*held), cheap_answer(7)) << *held;
+    EXPECT_FALSE(after);
+    EXPECT_EQ(server.counters().loop_solves, 1u);
+    return;
+  }
 }
 
 TEST_F(ServeServerTest, TcpListenerRoundTripsOnAnEphemeralPort) {

@@ -695,6 +695,31 @@ TEST(ShmStore, RepublishFlipsEpochsWithoutInvalidatingOldSnapshots) {
   EXPECT_EQ(ShmStore::unlink(name), 2u);  // metadata + live epoch only
 }
 
+TEST(ShmStore, PublishedEpochFollowsPublishesWithoutMapping) {
+  const std::string name = test_store_name("epoch");
+  ShmStore::unlink(name);
+  ShmStore writer = ShmStore::create(name);
+  const ShmStore reader = ShmStore::attach(name);
+  EXPECT_EQ(reader.published_epoch(), 0u);
+
+  writer.publish(wire::encode_instances(
+      std::vector<Instance>{make_instance({1, 2}, {3, 4}, 2)}));
+  EXPECT_EQ(reader.published_epoch(), 1u);
+  writer.publish(wire::encode_instances(std::vector<Instance>{
+      make_instance({5}, {6}, 1), make_instance({7, 8, 9}, {1, 1, 1}, 3)}));
+  EXPECT_EQ(reader.published_epoch(), 2u);
+
+  // The record's shape, read without materializing the instance.
+  const std::shared_ptr<storage::ShmMapping> snap = reader.snapshot();
+  ASSERT_NE(snap, nullptr);
+  const wire::InstanceView::Shape shape =
+      wire::InstanceView(snap->bytes()).shape(1);
+  EXPECT_EQ(shape.tasks, 3u);
+  EXPECT_EQ(shape.edges, 0u);
+  EXPECT_EQ(shape.m, 3);
+  EXPECT_EQ(ShmStore::unlink(name), 2u);
+}
+
 TEST(ShmStore, AttachToMissingStoreThrows) {
   EXPECT_THROW(ShmStore::attach(test_store_name("never-created")),
                std::runtime_error);
